@@ -13,7 +13,9 @@ serialized with sorted keys and compact separators.  The payload is a
 pure function of the mathematical input, so rebuilding the same object
 yields byte-identical payload text; anything environmental (timestamp,
 tool version) lives in the manifest.  Readers reject unknown schema
-strings with SchemaError instead of guessing.
+strings with SchemaError instead of guessing, and so are documents whose
+payload no longer matches manifest.payload_sha256 or lacks the fields
+`homology` reads.
 
 Exit codes: 0 on success, 2 on rejected input (DomainError), 1 on a
 violated internal invariant, which means a bug, not bad input.
@@ -52,14 +54,17 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def payload_sha256(payload) -> str:
+    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
 def make_document(schema: str, payload: dict, command: str = "",
                   wall_ms: int = 0) -> dict:
-    payload_text = canonical_json(payload)
     return {
         "manifest": {
             "command": command,
             "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "payload_sha256": hashlib.sha256(payload_text.encode()).hexdigest(),
+            "payload_sha256": payload_sha256(payload),
             "tool": "diskcx",
             "version": __version__,
             "wall_ms": wall_ms,
@@ -78,6 +83,31 @@ def load_document(path: Path) -> dict:
         raise SchemaError(f"{path} is not a diskcx document")
     if doc["schema"] not in (SCHEMA_BBM, SCHEMA_GAMMA):
         raise SchemaError(f"unsupported document schema {doc['schema']!r}")
+    payload = doc["payload"]
+    if not isinstance(payload, dict):
+        raise SchemaError(f"{path}: payload is not an object")
+    manifest = doc.get("manifest")
+    if not isinstance(manifest, dict) or (
+        manifest.get("payload_sha256") != payload_sha256(payload)
+    ):
+        raise SchemaError(f"{path}: payload does not match manifest.payload_sha256")
+    facets = payload.get("facets")
+    if not (
+        isinstance(facets, list)
+        and facets
+        and all(
+            isinstance(f, list) and f and all(type(v) is int for v in f)
+            for f in facets
+        )
+    ):
+        raise SchemaError(
+            f"{path}: payload.facets must be a non-empty list of non-empty "
+            "lists of int vertex ids"
+        )
+    if doc["schema"] == SCHEMA_BBM:
+        genus = payload.get("genus")
+        if type(genus) is not int or genus < 2:
+            raise SchemaError(f"{path}: payload.genus must be an int >= 2")
     return doc
 
 
@@ -128,21 +158,20 @@ def cmd_bbm_build(args) -> int:
             for v in build.vertices
         ],
     }
+    if args.out is None and not args.json:
+        print(_table([
+            ("genus", str(args.genus)),
+            ("vertices", str(len(build.vertices))),
+            ("edges", str(len(build.edges))),
+            ("f-vector", str(build.complex.f_vector())),
+            ("dimension", str(build.complex.dimension)),
+        ]))
+        return 0
     doc = make_document(
         SCHEMA_BBM, payload,
         command=f"bbm build -g {args.genus}",
         wall_ms=int(1000 * (time.monotonic() - t0)),
     )
-    if args.out is None and not args.json:
-        fv = build.complex.f_vector()
-        print(_table([
-            ("genus", str(args.genus)),
-            ("vertices", str(len(build.vertices))),
-            ("edges", str(len(build.edges))),
-            ("f-vector", str(fv)),
-            ("dimension", str(build.complex.dimension)),
-        ]))
-        return 0
     _emit(doc, args.out)
     if args.out is not None:
         print(f"wrote {args.out}")
@@ -152,19 +181,18 @@ def cmd_bbm_build(args) -> int:
 def cmd_homology(args) -> int:
     doc = load_document(args.path)
     payload = doc["payload"]
-    complex_ = SimplicialComplex.from_facets(
-        tuple(tuple(f) for f in payload["facets"])
-    )
+    complex_ = SimplicialComplex.from_facets(payload["facets"])
     profile = reduced_homology(complex_)
+    fv = complex_.f_vector()
     rows = [
         ("schema", doc["schema"]),
-        ("f-vector", str(complex_.f_vector())),
+        ("f-vector", str(fv)),
         ("betti", str(profile.betti)),
         ("torsion", str(profile.torsion) if any(profile.torsion) else "none"),
     ]
     result = {
         "betti": list(profile.betti),
-        "f_vector": list(complex_.f_vector()),
+        "f_vector": list(fv),
         "schema": doc["schema"],
         "torsion": [list(t) for t in profile.torsion],
     }

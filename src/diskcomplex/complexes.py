@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-import networkx as nx
-
 from .errors import DomainError
 
 # ---------------------------------------------------------------- complex
@@ -35,16 +33,25 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
+        """Sorted, deduplicated facets with every dominated face dropped.
+
+        Faces are visited largest first, so a face is dominated exactly
+        when some kept facet contains all its vertices: when the stars
+        (sets of kept facets) of its vertices have a common member.
+        """
         cleaned = sorted(
             {tuple(sorted(set(f))) for f in facets}, key=lambda f: (-len(f), f)
         )
         kept = []
+        star: dict = {}
         for f in cleaned:
             if not f:
                 raise DomainError("empty facet")
-            fs = set(f)
-            if any(fs <= set(g) for g in kept):
+            stars = [star.get(v, set()) for v in f]
+            if min(stars, key=len).intersection(*stars):
                 continue
+            for v in f:
+                star.setdefault(v, set()).add(len(kept))
             kept.append(f)
         if not kept:
             raise DomainError("a complex needs at least one facet")
@@ -77,14 +84,51 @@ class SimplicialComplex:
         return len({len(f) for f in self.facets}) == 1
 
 
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def flag_from_graph(vertices, edges) -> SimplicialComplex:
-    """Flag (clique) complex of a graph; isolated vertices become facets."""
-    graph = nx.Graph()
-    graph.add_nodes_from(vertices)
-    graph.add_edges_from(edges)
-    if graph.number_of_nodes() == 0:
+    """Flag (clique) complex of a graph; isolated vertices become facets.
+
+    The facets are the maximal cliques, enumerated by Bron-Kerbosch with
+    Tomita pivoting (Tomita, Tanaka, Takahashi, TCS 2006) on int bitmasks
+    over the sorted vertices.  Self-loops are ignored.
+    """
+    order = sorted(set(vertices))
+    if not order:
         raise DomainError("flag complex of an empty graph")
-    return SimplicialComplex.from_facets(nx.find_cliques(graph))
+    index = {v: i for i, v in enumerate(order)}
+    adj = [0] * len(order)
+    for a, b in edges:
+        if a not in index or b not in index:
+            raise DomainError(f"edge ({a}, {b}) has an endpoint outside the vertices")
+        if a != b:
+            adj[index[a]] |= 1 << index[b]
+            adj[index[b]] |= 1 << index[a]
+
+    cliques = []
+
+    def expand(clique, cand, done):
+        if not cand and not done:
+            cliques.append(clique)
+            return
+        # the pivot covers the most candidates, so the fewest branches remain
+        pivot = max(_bits(cand | done), key=lambda u: (cand & adj[u]).bit_count())
+        for v in _bits(cand & ~adj[pivot]):
+            bit = 1 << v
+            expand(clique | bit, cand & adj[v], done & adj[v])
+            cand &= ~bit
+            done |= bit
+
+    expand(0, (1 << len(order)) - 1, 0)
+    return SimplicialComplex.from_facets(
+        tuple(order[i] for i in _bits(c)) for c in cliques
+    )
 
 
 # ------------------------------------------------------------ smith form

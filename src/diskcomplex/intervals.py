@@ -180,19 +180,29 @@ class IntervalComplexBuild:
     complex: SimplicialComplex
 
 
+def disjointness_complex(surface: ChainSurface, classes) -> tuple:
+    """Disjointness graph of a sequence of classes and its flag complex.
+
+    Returns (edges, complex): edges are the index pairs (a, b), a < b,
+    whose classes have geometric intersection 0.
+    """
+    edges = tuple(
+        (a, b)
+        for a in range(len(classes))
+        for b in range(a + 1, len(classes))
+        if geometric_intersection(surface, classes[a], classes[b]) == 0
+    )
+    return edges, flag_from_graph(range(len(classes)), edges)
+
+
 def build_complex(surface: ChainSurface) -> IntervalComplexBuild:
     """Flag complex on the disjointness graph of the interval classes."""
     vertices, choices = bbm_vertices(surface)
-    edges = []
-    for a in range(len(vertices)):
-        for b in range(a + 1, len(vertices)):
-            if geometric_intersection(surface, vertices[a].curve, vertices[b].curve) == 0:
-                edges.append((a, b))
-    complex_ = flag_from_graph(range(len(vertices)), edges)
+    edges, complex_ = disjointness_complex(surface, [v.curve for v in vertices])
     return IntervalComplexBuild(
         surface=surface,
         vertices=tuple(vertices),
         odd_choices=tuple(choices),
-        edges=tuple(edges),
+        edges=edges,
         complex=complex_,
     )

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, flag_from_graph, reduced_homology
+from .complexes import SimplicialComplex, reduced_homology
 from .errors import BudgetError, CurveError, DomainError, InternalInvariantError
 from .handles import bounds_disk_sides, is_disk_vertex
+from .intervals import disjointness_complex
 from .ribbon import ChainSurface
-from .words import CurveClass, canonical_unoriented, geometric_intersection, letter_key
+from .words import CurveClass, canonical_unoriented, letter_key
 
 
 def _reduced_words(rank: int, max_len: int):
@@ -95,18 +96,13 @@ def sample_gamma(
 
     ordered = tuple(sorted(verts, key=lambda c: c.shortlex()))
     sides = tuple(bounds_disk_sides(surface, c) for c in ordered)
-    edges = []
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            if geometric_intersection(surface, ordered[a], ordered[b]) == 0:
-                edges.append((a, b))
-    complex_ = flag_from_graph(range(len(ordered)), edges)
+    edges, complex_ = disjointness_complex(surface, ordered)
     return GammaSample(
         surface=surface,
         max_length=budget,
         vertices=ordered,
         sides=sides,
-        edges=tuple(edges),
+        edges=edges,
         complex=complex_,
         n_enumerated=count,
     )

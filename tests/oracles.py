@@ -20,9 +20,14 @@ two is evidence rather than tautology.
 
 * Rational rank by Fraction Gaussian elimination and Smith invariants by
   sympy, for homology cross-checks.
+
+* Maximal cliques by subset enumeration, and the quadratic dominance
+  filter that reduces a facet list to its maximal faces, as references
+  for the clique enumerator and the facet normalisation.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from sympy import Matrix
@@ -152,8 +157,6 @@ def sympy_invariants(matrix) -> tuple:
 
 
 def _faces_of(facets, k):
-    from itertools import combinations
-
     faces = set()
     for f in facets:
         if len(f) >= k + 1:
@@ -197,3 +200,39 @@ def reduced_betti_and_torsion(facets, upto=None):
         betti.append(len(faces.get(k, ())) - ranks[k] - ranks[k + 1])
         torsion.append(tuple(d for d in torsion_source.get(k + 1, ()) if d > 1))
     return tuple(betti), tuple(torsion)
+
+
+# ------------------------------------------------------- cliques and facets
+
+
+def maximal_cliques_brute(vertices, edges) -> tuple:
+    """Maximal cliques of a graph on at most 10 vertices, by trying every
+    vertex subset; sorted tuples, in sorted order."""
+    vertices = sorted(set(vertices))
+    if len(vertices) > 10:
+        raise ValueError("subset enumeration is for at most 10 vertices")
+    adjacent = {frozenset(e) for e in edges}
+    cliques = {
+        c
+        for k in range(1, len(vertices) + 1)
+        for c in combinations(vertices, k)
+        if all(frozenset(pair) in adjacent for pair in combinations(c, 2))
+    }
+    return tuple(sorted(
+        c for c in cliques
+        if not any(tuple(sorted(c + (v,))) in cliques
+                   for v in vertices if v not in c)
+    ))
+
+
+def maximal_faces_quadratic(facets) -> tuple:
+    """Distinct sorted facets that no other facet contains, by comparing
+    each against every facet kept before it, largest first."""
+    cleaned = sorted(
+        {tuple(sorted(set(f))) for f in facets}, key=lambda f: (-len(f), f)
+    )
+    kept = []
+    for f in cleaned:
+        if not any(set(f) <= set(g) for g in kept):
+            kept.append(f)
+    return tuple(sorted(kept))

@@ -1,10 +1,20 @@
 """Command line behavior: exit codes, tables, JSON documents."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from diskcomplex.cli import SCHEMA_BBM, SCHEMA_GAMMA, load_document, run
+from diskcomplex.cli import (
+    SCHEMA_BBM,
+    SCHEMA_GAMMA,
+    load_document,
+    payload_sha256,
+    run,
+)
 from diskcomplex.errors import SchemaError
 
 
@@ -200,6 +210,57 @@ class TestPersistence:
         path.write_text(json.dumps({"schema": SCHEMA_BBM}))
         with pytest.raises(SchemaError):
             load_document(path)
+
+    # Each defect but the first re-signs the payload, so that the shape
+    # check, not the hash check, has to catch it.
+    @pytest.mark.parametrize("defect, resign, message", [
+        ("facet_deleted", False, "payload_sha256"),
+        ("no_facets", True, "facets"),
+        ("mixed_ids", True, "facets"),
+        ("string_ids", True, "facets"),
+        ("no_genus", True, "genus"),
+        ("payload_list", True, "payload"),
+    ])
+    def test_tampered_document_exits_two(self, capsys, tmp_path, defect,
+                                         resign, message):
+        path = tmp_path / "g2.json"
+        cap(capsys, ["bbm", "build", "-g", "2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        payload = doc["payload"]
+        if defect == "facet_deleted":
+            del payload["facets"][0]
+        elif defect == "no_facets":
+            del payload["facets"]
+        elif defect == "mixed_ids":
+            payload["facets"][0][0] = str(payload["facets"][0][0])
+        elif defect == "string_ids":
+            payload["facets"] = [[str(v) for v in f] for f in payload["facets"]]
+        elif defect == "no_genus":
+            del payload["genus"]
+        else:
+            doc["payload"] = payload = payload["facets"]
+        if resign:
+            doc["manifest"]["payload_sha256"] = payload_sha256(payload)
+        path.write_text(json.dumps(doc))
+        code, out, err = cap(capsys, ["homology", str(path)])
+        assert code == 2
+        assert out == ""
+        assert message in err
+        with pytest.raises(SchemaError):
+            load_document(path)
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_networkx(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, diskcomplex.cli; print('networkx' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestParser:

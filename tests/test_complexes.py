@@ -1,6 +1,7 @@
 """Simplicial complexes, Smith forms, and integral homology."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,13 @@ from diskcomplex import (
     reduced_homology,
     smith_normal_form,
 )
-from oracles import rational_rank, reduced_betti_and_torsion, sympy_invariants
+from oracles import (
+    maximal_cliques_brute,
+    maximal_faces_quadratic,
+    rational_rank,
+    reduced_betti_and_torsion,
+    sympy_invariants,
+)
 
 HOLLOW_TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 
@@ -35,6 +42,18 @@ class TestSimplicialComplex:
         assert c.facets == ((0, 1, 2), (3,))
         assert c.dimension == 2
         assert not c.is_pure()
+        # duplicates, nested sub-facets and unsorted vertex order, against
+        # the quadratic reference filter
+        rng = random.Random(77)
+        for _ in range(50):
+            facets = [rng.sample(range(10), rng.randint(1, 5))
+                      for _ in range(rng.randint(1, 30))]
+            facets += [rng.sample(f, rng.randint(1, len(f)))
+                       for f in rng.sample(facets, len(facets) // 2)]
+            facets += rng.sample(facets, len(facets) // 3)
+            rng.shuffle(facets)
+            assert (SimplicialComplex.from_facets(facets).facets
+                    == maximal_faces_quadratic(facets))
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -52,6 +71,34 @@ class TestSimplicialComplex:
     def test_flag_complex_keeps_isolated_vertices(self):
         c = flag_from_graph(range(3), [(0, 1)])
         assert (2,) in c.facets
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_flag_complex_matches_clique_oracle(self, seed):
+        rng = random.Random(2000 + seed)
+        n = rng.randint(1, 10)
+        p = rng.random()
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < p]
+        assert (flag_from_graph(range(n), edges).facets
+                == maximal_cliques_brute(range(n), edges))
+
+    @pytest.mark.parametrize("vertices, edges", [
+        (range(6), []),
+        (range(7), list(combinations(range(7), 2))),
+        (range(3, 21, 2), [e for e in combinations(range(3, 21, 2), 2)
+                           if e[1] - e[0] <= 6 or e[0] == 3]),
+    ], ids=["edgeless", "complete", "sparse_ids"])
+    def test_flag_complex_special_graphs(self, vertices, edges):
+        assert (flag_from_graph(vertices, edges).facets
+                == maximal_cliques_brute(vertices, edges))
+
+    @pytest.mark.parametrize("vertices, edges", [
+        ([], []),
+        (range(3), [(0, 5)]),
+    ])
+    def test_flag_complex_rejects_bad_graphs(self, vertices, edges):
+        with pytest.raises(DomainError):
+            flag_from_graph(vertices, edges)
 
 
 class TestSmithNormalForm:
