@@ -6,8 +6,9 @@ double into two handlebodies, and a curve class is a disk vertex when it
 bounds a disk in at least one of them.  This package models the surface
 as a ribbon graph, computes intersection numbers of free homotopy
 classes, builds the finite complex spanned by the regular-neighborhood
-frontier curves of circle intervals, and certifies its homology type by
-exact integer Smith normal form.
+frontier curves of circle intervals, and certifies its homology type
+exactly over the integers, by coreduction and a Smith normal form of the
+cells it leaves.
 """
 
 from .complexes import (

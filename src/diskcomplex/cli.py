@@ -189,10 +189,12 @@ def cmd_homology(args) -> int:
         ("f-vector", str(fv)),
         ("betti", str(profile.betti)),
         ("torsion", str(profile.torsion) if any(profile.torsion) else "none"),
+        ("leftover", str(profile.leftover)),
     ]
     result = {
         "betti": list(profile.betti),
         "f_vector": list(fv),
+        "leftover": list(profile.leftover),
         "schema": doc["schema"],
         "torsion": [list(t) for t in profile.torsion],
     }

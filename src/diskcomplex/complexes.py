@@ -1,9 +1,22 @@
 """Finite simplicial complexes with exact integer homology.
 
 Complexes are stored by their facets over int vertex ids.  Homology is
-reduced (augmented in degree 0) and computed from Smith normal forms of
-the boundary matrices over Z.  All arithmetic uses Python ints, so there
-is no overflow to detect: intermediate entries grow as needed.
+reduced: the chain complex is augmented by the empty face in degree -1.
+All arithmetic uses Python ints, so there is no overflow to detect:
+intermediate entries grow as needed.
+
+reduced_homology first removes cell pairs, then takes a Smith normal form
+of what is left.  A pair is a cell with exactly one live face, taken with
+that face (a coreduction, Mrozek-Batko, DCG 2009), or a face with exactly
+one live coface, taken with that coface (a reduction).  Simplicial
+incidences are +-1, so every pair is joined by a unit, and eliminating
+it changes the other boundaries by a multiple of the pair's own boundary
+(Kaczynski-Mrozek-Slusarek, 1998).  For these two kinds of pair that
+multiple is zero on every live cell: the remaining boundaries are merely
+restricted to the live cells, and homology over Z, torsion included, is
+unchanged.  The search starts at the first vertex, whose only face is
+the empty face, and spreads breadth first.  On the interval spheres it
+leaves a single top cell.
 
 The Smith routine eliminates with unimodular pivots first, chosen by a
 Markowitz fill estimate from a lazily revalidated heap; boundary matrices
@@ -18,7 +31,8 @@ block, so the invariant factors are unchanged).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import gcd
 
@@ -306,10 +320,18 @@ def boundary_matrix(faces_low, faces_high) -> dict:
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """Reduced integer homology: Betti numbers and torsion per degree."""
+    """Reduced integer homology: Betti numbers and torsion per degree.
+
+    leftover counts, per degree from 0 up to the highest degree built,
+    the cells that outlived the pair removals and went to the Smith form.
+    Under max_degree the highest degree built has no cofaces, so only
+    coreductions remove its cells.  leftover describes the computation,
+    not the homology, so it takes no part in comparisons.
+    """
 
     betti: tuple  # reduced Betti numbers, degrees 0..dim
     torsion: tuple  # per degree, tuple of invariant factors > 1
+    leftover: tuple = field(compare=False)
 
     def is_reduced_sphere(self, dim: int) -> bool:
         if len(self.betti) <= dim:
@@ -321,35 +343,122 @@ class HomologyProfile:
         )
 
 
-def reduced_homology(complex_: SimplicialComplex, max_degree: int | None = None) -> HomologyProfile:
-    """Reduced homology over Z from Smith forms of the boundary maps.
+def _augmented_boundaries(complex_: SimplicialComplex, top: int):
+    """Boundaries of the empty face and of every face up to dimension top.
 
-    With the augmentation map in degree 0, betti_k = f_k - rank d_k -
-    rank d_{k+1} for every k, and the torsion of H_k is read off the
-    invariant factors of d_{k+1} exceeding 1.  Restricting max_degree
-    computes only degrees <= max_degree (the probe use case).
+    Cells are numbered by dimension, then lexicographically: cell 0 is
+    the empty face and cell 1 the first vertex.  boundary[c] lists the
+    faces of c in lexicographic order, so for a k-cell c its i-th entry
+    omits vertex k - i and has incidence (-1) ** (k - i).  starts[k + 1]
+    is the first cell of dimension k, and starts[-1] the number of cells.
     """
-    faces = complex_.faces_by_dim()
+    layers = [set() for _ in range(top + 1)]
+    for f in complex_.facets:
+        for k in range(min(len(f), top + 1)):
+            layers[k].update(combinations(f, k + 1))
+    index = {(): 0}
+    starts = [0]
+    for k, layer in enumerate(layers):
+        starts.append(len(index))
+        index.update((f, i) for i, f in enumerate(sorted(layer), len(index)))
+        layers[k] = None  # the index holds the faces now; free the set
+    starts.append(len(index))
+    lookup = index.__getitem__
+    boundary = [
+        tuple(map(lookup, combinations(f, len(f) - 1))) if f else ()
+        for f in index
+    ]
+    return boundary, starts
+
+
+def _remove_pairs(boundary) -> list:
+    """Live flags of the cells left after greedily removing pairs.
+
+    A cell with one live face goes with that face, and a cell with one
+    live coface goes with that coface.  Counts only fall, so a cell joins
+    the queue when one of its counts falls to 1; a sweep over all cells
+    fills the queue at the start and whenever it runs dry, and the search
+    ends when a sweep finds nothing.  The first sweep queues every vertex,
+    so the first pair is cell 1 with the empty face, and the search
+    spreads breadth first from there.
+    """
+    coboundary = [[] for _ in boundary]
+    for c, faces in enumerate(boundary):
+        for y in faces:
+            coboundary[y].append(c)
+    live = [True] * len(boundary)
+    nfaces = [len(b) for b in boundary]
+    ncofaces = [len(c) for c in coboundary]
+    queue = deque()
+    while True:
+        queue.extend(
+            c for c, alive in enumerate(live)
+            if alive and (nfaces[c] == 1 or ncofaces[c] == 1)
+        )
+        if not queue:
+            return live
+        while queue:
+            c = queue.popleft()
+            if not live[c]:
+                continue
+            if nfaces[c] == 1:
+                other = next(y for y in boundary[c] if live[y])
+            elif ncofaces[c] == 1:
+                other = next(z for z in coboundary[c] if live[z])
+            else:
+                continue
+            for x in (c, other):
+                live[x] = False
+                for y in boundary[x]:
+                    if live[y]:
+                        ncofaces[y] -= 1
+                        if ncofaces[y] == 1:
+                            queue.append(y)
+                for z in coboundary[x]:
+                    if live[z]:
+                        nfaces[z] -= 1
+                        if nfaces[z] == 1:
+                            queue.append(z)
+
+
+def reduced_homology(complex_: SimplicialComplex, max_degree: int | None = None) -> HomologyProfile:
+    """Reduced homology over Z: pair removals, then Smith forms of the rest.
+
+    The cells are the empty face and every face of dimension up to
+    max_degree + 1 (all of them without max_degree), so a probe of low
+    degrees builds only a low skeleton.  After the pair removals, with
+    leftover cells l_k and the ranks r_k of the restricted boundary maps,
+    betti_k = l_k - r_k - r_{k+1}, and the torsion of H_k is read off the
+    invariant factors of the restricted d_{k+1} exceeding 1.
+    """
     top = complex_.dimension
     upto = top if max_degree is None else min(max_degree, top)
+    built = min(top, upto + 1)
+    boundary, starts = _augmented_boundaries(complex_, built)
+    live = _remove_pairs(boundary)
 
-    ranks = {0: 1 if faces[0] else 0}  # augmentation
-    invariants = {}
-    for k in range(1, upto + 2):
-        if k > top:
-            ranks[k] = 0
-            invariants[k] = ()
-            continue
-        inv, rank = smith_normal_form(boundary_matrix(faces[k - 1], faces[k]))
-        ranks[k] = rank
-        invariants[k] = inv
+    leftover = []
+    ranks = [0] * (built + 2)  # ranks[k]: rank of the restricted d_k
+    invariants = [()] * (built + 2)
+    for k in range(built + 1):
+        kept = [c for c in range(starts[k + 1], starts[k + 2]) if live[c]]
+        leftover.append(len(kept))
+        matrix = {
+            (y, c): (-1) ** (k - i)
+            for c in kept
+            for i, y in enumerate(boundary[c])
+            if live[y]
+        }
+        if matrix:
+            invariants[k], ranks[k] = smith_normal_form(matrix)
 
-    betti = []
-    torsion = []
-    for k in range(upto + 1):
-        betti.append(len(faces[k]) - ranks[k] - ranks[k + 1])
-        torsion.append(tuple(d for d in invariants.get(k + 1, ()) if d > 1))
-    return HomologyProfile(tuple(betti), tuple(torsion))
+    return HomologyProfile(
+        betti=tuple(leftover[k] - ranks[k] - ranks[k + 1] for k in range(upto + 1)),
+        torsion=tuple(
+            tuple(d for d in invariants[k + 1] if d > 1) for k in range(upto + 1)
+        ),
+        leftover=tuple(leftover),
+    )
 
 
 # ---------------------------------------------------------- pseudomanifold

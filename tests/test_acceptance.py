@@ -43,14 +43,16 @@ from test_words import TorusFixture
 
 @contextmanager
 def certify(num, label, budget=None):
+    """Time the block and print its verdict, with any notes it appends."""
+    notes = []
     t0 = time.monotonic()
     try:
-        yield
+        yield notes
     except BaseException:
         print("[%2d] %s: FAIL" % (num, label))
         raise
     dt = time.monotonic() - t0
-    print("[%2d] %s: PASS (%.2fs)" % (num, label, dt))
+    print("[%2d] %s: PASS (%s)" % (num, label, "; ".join(["%.2fs" % dt] + notes)))
     if budget is not None:
         assert dt < budget, "budget %.0fs exceeded: %.2fs" % (budget, dt)
 
@@ -62,9 +64,17 @@ def sphere_profile(g):
     return surface, build, profile
 
 
+def certificate_path(profile):
+    """How the homology was proved: pair removals, then the Smith form on
+    whatever cells they left."""
+    left = sum(profile.leftover)
+    return "coreduction, %d cell%s left" % (left, "" if left == 1 else "s")
+
+
 def test_criterion_01_genus_two_sphere():
-    with certify(1, "genus-2 certificate", budget=1.0):
+    with certify(1, "genus-2 certificate", budget=1.0) as notes:
         surface, build, profile = sphere_profile(2)
+        notes.append(certificate_path(profile))
         assert len(build.vertices) == 9
         assert all(is_disk_vertex(surface, v.curve) for v in build.vertices)
         cx = build.complex
@@ -77,8 +87,9 @@ def test_criterion_01_genus_two_sphere():
 
 
 def test_criterion_02_genus_three_sphere():
-    with certify(2, "genus-3 certificate", budget=30.0):
+    with certify(2, "genus-3 certificate", budget=30.0) as notes:
         _, build, profile = sphere_profile(3)
+        notes.append(certificate_path(profile))
         assert len(build.vertices) == 20
         assert build.complex.f_vector() == (20, 120, 300, 330, 132)
         assert profile.betti == (0, 0, 0, 0, 1)
@@ -86,8 +97,9 @@ def test_criterion_02_genus_three_sphere():
 
 
 def test_criterion_03_genus_four_sphere():
-    with certify(3, "genus-4 certificate", budget=600.0):
+    with certify(3, "genus-4 certificate", budget=600.0) as notes:
         _, build, profile = sphere_profile(4)
+        notes.append(certificate_path(profile))
         assert len(build.vertices) == 35
         assert profile.betti == (0, 0, 0, 0, 0, 0, 1)
         assert all(t == () for t in profile.torsion)
@@ -240,3 +252,17 @@ def test_criterion_11_payloads_are_byte_identical(tmp_path, capsys):
             assert blobs[0] == blobs[1]
             assert (docs[0]["manifest"]["payload_sha256"]
                     == docs[1]["manifest"]["payload_sha256"])
+
+
+def test_criterion_12_genus_five_sphere():
+    with certify(12, "genus-5 certificate", budget=60.0) as notes:
+        _, build, profile = sphere_profile(5)
+        notes.append(certificate_path(profile))
+        assert len(build.vertices) == 54
+        cx = build.complex
+        # 16,796 facets: Catalan(10), as for the associahedron of the 12-gon
+        assert cx.f_vector() == (
+            54, 936, 7644, 34398, 91728, 148512, 143208, 75582, 16796)
+        assert profile.betti == (0, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert all(t == () for t in profile.torsion)
+        assert pseudomanifold_check(cx, 8).ok

@@ -152,7 +152,14 @@ class TestPersistence:
         assert code == 0
         assert "f-vector  (9, 21, 14)" in out
         assert "betti     (0, 0, 1)" in out
+        assert "leftover  (0, 0, 1)" in out
         assert "sphere    yes (dimension 2)" in out
+
+        code, out, _ = cap(capsys, ["homology", str(path), "--json"])
+        assert code == 0
+        result = json.loads(out)
+        assert result["betti"] == [0, 0, 1]
+        assert result["leftover"] == [0, 0, 1]
 
     def test_payload_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,10 +5,13 @@ from itertools import combinations
 
 import pytest
 
+import diskcomplex.complexes as complexes
 from diskcomplex import (
     DomainError,
+    HomologyProfile,
     SimplicialComplex,
     boundary_matrix,
+    build_complex,
     flag_from_graph,
     pseudomanifold_check,
     reduced_homology,
@@ -34,6 +37,47 @@ PROJECTIVE_PLANE = [
     (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
     (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
 ]
+
+
+def snf_homology(c, max_degree=None):
+    """Reduced homology from the Smith form of every boundary matrix.
+
+    The per-degree path, kept as a reference for the pair removals in
+    reduced_homology: betti_k = f_k - rank d_k - rank d_{k+1}, with the
+    augmentation as d_0, and the torsion of H_k from d_{k+1}.
+    """
+    faces = c.faces_by_dim()
+    top = c.dimension
+    upto = top if max_degree is None else min(max_degree, top)
+    ranks = {0: 1}
+    invariants = {}
+    for k in range(1, upto + 2):
+        if k > top:
+            ranks[k], invariants[k] = 0, ()
+        else:
+            invariants[k], ranks[k] = smith_normal_form(
+                boundary_matrix(faces[k - 1], faces[k]))
+    return HomologyProfile(
+        betti=tuple(len(faces[k]) - ranks[k] - ranks[k + 1]
+                    for k in range(upto + 1)),
+        torsion=tuple(tuple(d for d in invariants[k + 1] if d > 1)
+                      for k in range(upto + 1)),
+        leftover=tuple(len(faces[k]) for k in range(min(top, upto + 1) + 1)),
+    )
+
+
+def assert_matches_references(c, oracle=True):
+    """reduced_homology agrees with snf_homology in every truncation, and
+    with the rational-rank and sympy oracle where that is affordable."""
+    for d in (None, *range(c.dimension + 1)):
+        profile = reduced_homology(c, d)
+        assert profile == snf_homology(c, d), d
+        # a probe builds the cells up to one degree above max_degree only
+        built = c.dimension if d is None else min(c.dimension, d + 1)
+        assert len(profile.leftover) == built + 1
+        if oracle:
+            assert (profile.betti, profile.torsion) == (
+                reduced_betti_and_torsion(c.facets, upto=d)), d
 
 
 class TestSimplicialComplex:
@@ -150,23 +194,41 @@ class TestReducedHomology:
         assert profile.betti == (0, 0, 1)
         assert profile.is_reduced_sphere(2)
 
-    def test_projective_plane_torsion(self):
+    def test_projective_plane_torsion(self, monkeypatch):
+        seen = []
+
+        def spy(matrix):
+            result = smith_normal_form(matrix)
+            seen.append(result)
+            return result
+
+        monkeypatch.setattr(complexes, "smith_normal_form", spy)
         c = SimplicialComplex.from_facets(PROJECTIVE_PLANE)
         assert c.f_vector() == (6, 15, 10)
         profile = reduced_homology(c)
         assert profile.betti == (0, 0, 0)
         assert profile.torsion == ((), (2,), ())
         assert not profile.is_reduced_sphere(2)
+        # unit pairs cannot remove the Z/2, so cells of degrees 1 and 2
+        # are left over and the Smith form finds the invariant factor 2
+        assert profile.leftover[1] > 0 and profile.leftover[2] > 0
+        assert any(2 in divisors for divisors, _ in seen)
 
     def test_two_points_disconnected(self):
         profile = reduced_homology(SimplicialComplex.from_facets([(0,), (1,)]))
         assert profile.betti == (1,)
 
-    def test_max_degree_truncates(self):
+    def test_max_degree_truncates(self, chain2, chain3):
         profile = reduced_homology(
             SimplicialComplex.from_facets(OCTAHEDRON), max_degree=1
         )
         assert profile.betti == (0, 0)
+        assert_matches_references(SimplicialComplex.from_facets(OCTAHEDRON))
+        assert_matches_references(
+            SimplicialComplex.from_facets(PROJECTIVE_PLANE))
+        # the interval spheres; the dense oracle is affordable at g=2 only
+        assert_matches_references(build_complex(chain2).complex)
+        assert_matches_references(build_complex(chain3).complex, oracle=False)
 
     def test_boundary_squares_to_zero(self):
         c = SimplicialComplex.from_facets(OCTAHEDRON)
@@ -190,11 +252,11 @@ class TestReducedHomology:
             for b in range(a + 1, n)
             if rng.random() < 0.55
         ]
-        c = flag_from_graph(range(n), edges)
-        profile = reduced_homology(c)
-        betti, torsion = reduced_betti_and_torsion(c.facets)
-        assert profile.betti == betti
-        assert profile.torsion == torsion
+        assert_matches_references(flag_from_graph(range(n), edges))
+        # and a complex that need not be flag, on the same vertices
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 5)))
+                  for _ in range(rng.randint(1, 12))]
+        assert_matches_references(SimplicialComplex.from_facets(facets))
 
 
 class TestPseudomanifold:
