@@ -181,19 +181,17 @@ def cmd_bbm_build(args) -> int:
 def cmd_homology(args) -> int:
     doc = load_document(args.path)
     payload = doc["payload"]
-    complex_ = SimplicialComplex.from_facets(payload["facets"])
-    profile = reduced_homology(complex_)
-    fv = complex_.f_vector()
+    profile = reduced_homology(SimplicialComplex.from_facets(payload["facets"]))
     rows = [
         ("schema", doc["schema"]),
-        ("f-vector", str(fv)),
+        ("f-vector", str(profile.cells)),
         ("betti", str(profile.betti)),
         ("torsion", str(profile.torsion) if any(profile.torsion) else "none"),
         ("leftover", str(profile.leftover)),
     ]
     result = {
         "betti": list(profile.betti),
-        "f_vector": list(fv),
+        "f_vector": list(profile.cells),
         "leftover": list(profile.leftover),
         "schema": doc["schema"],
         "torsion": [list(t) for t in profile.torsion],

@@ -93,9 +93,6 @@ class RibbonGraph:
     def reverse_of(self, dart: int) -> int:
         return self._rev[dart]
 
-    def vertex_cycle_of(self, dart: int) -> tuple:
-        return self.rot[self._vertex_of[dart]]
-
     # ------------------------------------------------------------- faces
 
     def boundary_walks(self) -> list:
@@ -219,7 +216,6 @@ class ChainSurface:
     letters: dict = field(repr=False)  # dart -> letter, 0 on tree darts
     labels: dict = field(repr=False)  # dart -> readable name
     core_walks: tuple  # circle index i-1 -> closed walk of circle i
-    tree_darts: frozenset
     boundary_walk: tuple
     boundary_word: tuple
     boundary_class: CurveClass
@@ -354,7 +350,6 @@ def chain_surface(genus: int) -> ChainSurface:
         letters=letters,
         labels=labels,
         core_walks=tuple(core_walks),
-        tree_darts=frozenset(d for d, l in letters.items() if l == 0),
         boundary_walk=boundary_walk,
         boundary_word=cyclic_reduce(
             tuple(l for l in (letters[d] for d in boundary_walk) if l)

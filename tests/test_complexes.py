@@ -49,6 +49,7 @@ def snf_homology(c, max_degree=None):
     faces = c.faces_by_dim()
     top = c.dimension
     upto = top if max_degree is None else min(max_degree, top)
+    cells = tuple(len(faces[k]) for k in range(min(top, upto + 1) + 1))
     ranks = {0: 1}
     invariants = {}
     for k in range(1, upto + 2):
@@ -62,7 +63,8 @@ def snf_homology(c, max_degree=None):
                     for k in range(upto + 1)),
         torsion=tuple(tuple(d for d in invariants[k + 1] if d > 1)
                       for k in range(upto + 1)),
-        leftover=tuple(len(faces[k]) for k in range(min(top, upto + 1) + 1)),
+        leftover=cells,
+        cells=cells,
     )
 
 
@@ -71,10 +73,14 @@ def assert_matches_references(c, oracle=True):
     with the rational-rank and sympy oracle where that is affordable."""
     for d in (None, *range(c.dimension + 1)):
         profile = reduced_homology(c, d)
-        assert profile == snf_homology(c, d), d
+        reference = snf_homology(c, d)
+        assert profile == reference, d
         # a probe builds the cells up to one degree above max_degree only
         built = c.dimension if d is None else min(c.dimension, d + 1)
-        assert len(profile.leftover) == built + 1
+        assert len(profile.leftover) == len(profile.cells) == built + 1
+        assert profile.cells == reference.cells, d
+        if d is None:
+            assert profile.cells == c.f_vector()
         if oracle:
             assert (profile.betti, profile.torsion) == (
                 reduced_betti_and_torsion(c.facets, upto=d)), d
@@ -164,8 +170,15 @@ class TestSmithNormalForm:
 
     def test_divisibility_chain(self):
         rng = random.Random(5)
-        for _ in range(25):
-            m = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(3)]
+        dense = [[[rng.randint(-6, 6) for _ in range(4)] for _ in range(3)]
+                 for _ in range(25)]
+        # sparse matrices of the sizes left over by the pair removals, where
+        # eliminating a pivot fills in entries off its row and column
+        sparse = [[[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.15
+                    else 0 for _ in range(n + extra)]
+                   for _ in range(n)]
+                  for n in range(8, 31, 2) for extra in (0, 6)]
+        for m in dense + sparse:
             divisors, rank = smith_normal_form(m)
             assert rank == len(divisors) == rational_rank(m)
             for a, b in zip(divisors, divisors[1:]):
