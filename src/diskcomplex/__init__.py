@@ -68,7 +68,6 @@ from .words import (
     CurveClass,
     CyclicOrder,
     algebraic_intersection,
-    canonical_oriented,
     canonical_unoriented,
     cyclic_reduce,
     free_reduce,
@@ -119,7 +118,6 @@ __all__ = [
     "boundary_matrix",
     "bounds_disk_sides",
     "build_complex",
-    "canonical_oriented",
     "canonical_unoriented",
     "chain_surface",
     "complement_of_neighborhood",

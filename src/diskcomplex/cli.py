@@ -5,6 +5,14 @@ document, certify homology of a persisted complex, and expose the curve
 algebra (intersection numbers, disk sides), the cutting bookkeeping, the
 dimension and connectivity table, and the sampling probe.
 
+One result, rendered once.  Each command returns its result as ordered
+(label, key, value) rows, and run renders them once: with --json as the
+canonical JSON object of the keyed rows, otherwise as an aligned table
+of the labelled rows.  Unkeyed rows are table-only (the sphere verdict
+of homology), unlabelled rows JSON-only (is_sphere, sphere_dimension).
+bbm build returns its document as unlabelled rows, or with --out writes
+it and prints the path.
+
 Document format.  Every file this tool writes is a single JSON object
 
     {"manifest": {...}, "payload": {...}, "schema": "diskcx/<kind>/<v>"}
@@ -111,30 +119,20 @@ def load_document(path: Path) -> dict:
     return doc
 
 
-def _emit(doc: dict, out) -> None:
-    text = canonical_json(doc)
-    if out is None:
-        print(text)
-    else:
-        Path(out).write_text(text + "\n")
-
-
-def _table(rows) -> str:
-    width = max(len(k) for k, _ in rows)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
-
-
-def _sides_str(sides) -> str:
-    return " ".join(sorted(s.value for s in sides)) or "-"
-
-
 # ---------------------------------------------------------------- commands
 
 
-def cmd_bbm_build(args) -> int:
+def cmd_bbm_build(args) -> list:
     t0 = time.monotonic()
-    surface = chain_surface(args.genus)
-    build = build_complex(surface)
+    build = build_complex(chain_surface(args.genus))
+    if args.out is None and not args.json:
+        return [
+            ("genus", None, args.genus),
+            ("vertices", None, len(build.vertices)),
+            ("edges", None, len(build.edges)),
+            ("f-vector", None, build.complex.f_vector()),
+            ("dimension", None, build.complex.dimension),
+        ]
     payload = {
         "edges": [list(e) for e in build.edges],
         "facets": [list(f) for f in build.complex.facets],
@@ -158,58 +156,42 @@ def cmd_bbm_build(args) -> int:
             for v in build.vertices
         ],
     }
-    if args.out is None and not args.json:
-        print(_table([
-            ("genus", str(args.genus)),
-            ("vertices", str(len(build.vertices))),
-            ("edges", str(len(build.edges))),
-            ("f-vector", str(build.complex.f_vector())),
-            ("dimension", str(build.complex.dimension)),
-        ]))
-        return 0
     doc = make_document(
         SCHEMA_BBM, payload,
         command=f"bbm build -g {args.genus}",
         wall_ms=int(1000 * (time.monotonic() - t0)),
     )
-    _emit(doc, args.out)
-    if args.out is not None:
-        print(f"wrote {args.out}")
-    return 0
+    if args.out is None:
+        return [(None, key, value) for key, value in doc.items()]
+    Path(args.out).write_text(canonical_json(doc) + "\n")
+    print(f"wrote {args.out}")
+    return []
 
 
-def cmd_homology(args) -> int:
+def cmd_homology(args) -> list:
     doc = load_document(args.path)
     payload = doc["payload"]
     profile = reduced_homology(SimplicialComplex.from_facets(payload["facets"]))
     rows = [
-        ("schema", doc["schema"]),
-        ("f-vector", str(profile.cells)),
-        ("betti", str(profile.betti)),
-        ("torsion", str(profile.torsion) if any(profile.torsion) else "none"),
-        ("leftover", str(profile.leftover)),
+        ("schema", "schema", doc["schema"]),
+        ("f-vector", "f_vector", profile.cells),
+        ("betti", "betti", profile.betti),
+        ("torsion", None, profile.torsion if any(profile.torsion) else "none"),
+        (None, "torsion", profile.torsion),
+        ("leftover", "leftover", profile.leftover),
     ]
-    result = {
-        "betti": list(profile.betti),
-        "f_vector": list(profile.cells),
-        "leftover": list(profile.leftover),
-        "schema": doc["schema"],
-        "torsion": [list(t) for t in profile.torsion],
-    }
     if doc["schema"] == SCHEMA_BBM:
         dim = 2 * payload["genus"] - 2
         sphere = profile.is_reduced_sphere(dim)
-        rows.append(("sphere", f"{'yes' if sphere else 'NO'} (dimension {dim})"))
-        result["sphere_dimension"] = dim
-        result["is_sphere"] = sphere
-    if args.json:
-        print(canonical_json(result))
-    else:
-        print(_table(rows))
-    return 0
+        rows += [
+            ("sphere", None, f"{'yes' if sphere else 'NO'} (dimension {dim})"),
+            (None, "is_sphere", sphere),
+            (None, "sphere_dimension", dim),
+        ]
+    return rows
 
 
-def cmd_intersect(args) -> int:
+def cmd_intersect(args) -> list:
     surface = chain_surface(args.genus)
     rank = 2 * args.genus
     u = CurveClass.from_string(args.word1, rank)
@@ -219,26 +201,15 @@ def cmd_intersect(args) -> int:
             "the two words give one unoriented class; "
             "use disk-check for its self-intersection"
         )
-    geo = geometric_intersection(surface, u, v)
-    alg = algebraic_intersection(surface, u, v)
-    if args.json:
-        print(canonical_json({
-            "algebraic": alg,
-            "geometric": geo,
-            "word1": str(u),
-            "word2": str(v),
-        }))
-    else:
-        print(_table([
-            ("class 1", str(u)),
-            ("class 2", str(v)),
-            ("geometric", str(geo)),
-            ("algebraic", str(alg)),
-        ]))
-    return 0
+    return [
+        ("class 1", "word1", str(u)),
+        ("class 2", "word2", str(v)),
+        ("geometric", "geometric", geometric_intersection(surface, u, v)),
+        ("algebraic", "algebraic", algebraic_intersection(surface, u, v)),
+    ]
 
 
-def cmd_disk_check(args) -> int:
+def cmd_disk_check(args) -> list:
     surface = chain_surface(args.genus)
     c = CurveClass.from_string(args.word, 2 * args.genus)
     si = self_intersection(surface, c)
@@ -247,120 +218,81 @@ def cmd_disk_check(args) -> int:
         sides = bounds_disk_sides(surface, c)
     else:
         sides = frozenset()
-    rows = [
-        ("class", str(c)),
-        ("self-intersection", str(si)),
-        ("peripheral", "yes" if peripheral else "no"),
-        ("disk sides", _sides_str(sides)),
-        ("disk vertex", "yes" if sides else "no"),
+    return [
+        ("class", "word", str(c)),
+        ("self-intersection", "self_intersection", si),
+        ("peripheral", "peripheral", peripheral),
+        ("disk sides", "sides", sorted(s.value for s in sides)),
+        ("disk vertex", "disk_vertex", bool(sides)),
     ]
-    if args.json:
-        print(canonical_json({
-            "disk_vertex": bool(sides),
-            "peripheral": peripheral,
-            "self_intersection": si,
-            "sides": sorted(s.value for s in sides),
-            "word": str(c),
-        }))
-    else:
-        print(_table(rows))
-    return 0
 
 
-def cmd_split(args) -> int:
+def cmd_split(args) -> list:
     surface = chain_surface(args.genus)
     tokens = [t for t in (s.strip() for s in args.curves.split(",")) if t]
     report = cut_along(surface, tokens)
-    ok = bookkeeping_check(report)
-    if not ok:
+    if not bookkeeping_check(report):
         raise InternalInvariantError("splitting report fails its bookkeeping")
-    comps = " ".join(f"({g},{b})" for g, b in report.components)
-    if args.json:
-        print(canonical_json({
-            "ambient": [report.ambient_genus, report.ambient_boundaries],
-            "check": ok,
-            "components": [list(c) for c in report.components],
-            "curves": list(report.curve_names),
-        }))
-    else:
-        print(_table([
-            ("ambient", f"genus {report.ambient_genus}, "
-                        f"{report.ambient_boundaries} boundary"),
-            ("curves", " ".join(report.curve_names)),
-            ("components", comps),
-            ("check", "ok"),
-        ]))
-    return 0
+    g, b = report.ambient_genus, report.ambient_boundaries
+    pieces = " ".join(f"({cg},{cb})" for cg, cb in report.components)
+    return [
+        ("ambient", None, f"genus {g}, {b} boundary"),
+        (None, "ambient", [g, b]),
+        ("curves", "curves", list(report.curve_names)),
+        ("components", None, pieces),
+        (None, "components", report.components),
+        ("check", None, "ok"),
+        (None, "check", True),
+    ]
 
 
-def cmd_gamma_sample(args) -> int:
+def cmd_gamma_sample(args) -> list:
     t0 = time.monotonic()
     surface = chain_surface(args.genus)
-    include = args.include or []
-    sample = sample_gamma(surface, args.budget, cap=args.cap, include=include)
+    sample = sample_gamma(surface, args.budget, cap=args.cap,
+                          include=args.include or [])
     top = max_simplex_probe(sample)
     probe = connectivity_probe(sample)
-    payload = {
-        "edges": [list(e) for e in sample.edges],
-        "facets": [list(f) for f in sample.complex.facets],
-        "genus": args.genus,
-        "max_length": sample.max_length,
-        "n_enumerated": sample.n_enumerated,
-        "vertices": [
-            {"sides": sorted(s.value for s in sd), "word": str(c)}
-            for c, sd in zip(sample.vertices, sample.sides)
-        ],
-    }
     if args.out is not None:
+        payload = {
+            "edges": [list(e) for e in sample.edges],
+            "facets": [list(f) for f in sample.complex.facets],
+            "genus": args.genus,
+            "max_length": sample.max_length,
+            "n_enumerated": sample.n_enumerated,
+            "vertices": [
+                {"sides": sorted(s.value for s in sd), "word": str(c)}
+                for c, sd in zip(sample.vertices, sample.sides)
+            ],
+        }
         doc = make_document(
             SCHEMA_GAMMA, payload,
             command=f"gamma sample -g {args.genus} -L {args.budget}",
             wall_ms=int(1000 * (time.monotonic() - t0)),
         )
-        _emit(doc, args.out)
-    rows = [
-        ("genus", str(args.genus)),
-        ("budget", str(args.budget)),
-        ("enumerated", str(sample.n_enumerated)),
-        ("vertices", str(len(sample.vertices))),
-        ("edges", str(len(sample.edges))),
-        ("max simplex dim", str(top)),
-        ("betti0 (reduced)", str(probe.betti0)),
-        ("betti1", str(probe.betti1)),
-        ("conclusive", "no; " + probe.note),
+        Path(args.out).write_text(canonical_json(doc) + "\n")
+    return [
+        ("genus", None, args.genus),
+        ("budget", None, args.budget),
+        ("enumerated", "n_enumerated", sample.n_enumerated),
+        ("vertices", "vertices", len(sample.vertices)),
+        ("edges", "edges", len(sample.edges)),
+        ("max simplex dim", "max_simplex_dim", top),
+        ("betti0 (reduced)", "betti0", probe.betti0),
+        ("betti1", "betti1", probe.betti1),
+        ("conclusive", None, "no; " + probe.note),
+        (None, "conclusive", probe.conclusive),
     ]
-    if args.json:
-        print(canonical_json({
-            "betti0": probe.betti0,
-            "betti1": probe.betti1,
-            "conclusive": probe.conclusive,
-            "edges": len(sample.edges),
-            "max_simplex_dim": top,
-            "n_enumerated": sample.n_enumerated,
-            "vertices": len(sample.vertices),
-        }))
-    else:
-        print(_table(rows))
-    return 0
 
 
-def cmd_dims(args) -> int:
+def cmd_dims(args) -> list:
     t = dims(args.genus, args.boundaries)
-    if args.json:
-        print(canonical_json({
-            "boundaries": t.boundaries,
-            "connectivity": t.connectivity,
-            "dimension": t.dimension,
-            "genus": t.genus,
-        }))
-    else:
-        print(_table([
-            ("genus", str(t.genus)),
-            ("boundaries", str(t.boundaries)),
-            ("dimension", str(t.dimension)),
-            ("connectivity", str(t.connectivity)),
-        ]))
-    return 0
+    return [
+        ("genus", "genus", t.genus),
+        ("boundaries", "boundaries", t.boundaries),
+        ("dimension", "dimension", t.dimension),
+        ("connectivity", "connectivity", t.connectivity),
+    ]
 
 
 # ------------------------------------------------------------------ parser
@@ -428,17 +360,35 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _text(value) -> str:
+    """A table cell: yes/no for a bool, the words of a list of str, else str."""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+        return " ".join(value) or "-"
+    return str(value)
+
+
 def run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rows = args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 1
+    if not rows:
+        return 0
+    if args.json:
+        print(canonical_json({key: value for _, key, value in rows if key}))
+    else:
+        shown = [(label, _text(value)) for label, _, value in rows if label]
+        width = max(len(label) for label, _ in shown)
+        print("\n".join(f"{label.ljust(width)}  {text}" for label, text in shown))
+    return 0
 
 
 def main() -> None:

@@ -142,8 +142,9 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
             done |= bit
 
     expand(0, (1 << len(order)) - 1, 0)
-    return SimplicialComplex.from_facets(
-        tuple(order[i] for i in _bits(c)) for c in cliques
+    # maximal cliques are distinct and pairwise non-nested: no cleanup
+    return SimplicialComplex(
+        tuple(sorted(tuple(order[i] for i in _bits(c)) for c in cliques))
     )
 
 

@@ -188,21 +188,6 @@ class RibbonGraph:
         rev = tuple((mapping[a], mapping[b]) for a, b in self.rev)
         return RibbonGraph(rot, rev)
 
-    # ------------------------------------------------------ serialization
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rot": [list(c) for c in self.rot],
-            "rev": [list(p) for p in self.rev],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data) -> "RibbonGraph":
-        return cls(
-            tuple(tuple(c) for c in data["rot"]),
-            tuple(tuple(p) for p in data["rev"]),
-        )
-
 
 # ----------------------------------------------------------- chain model
 
@@ -271,14 +256,6 @@ class ChainSurface:
             omega[a][a + 1] = sigma[a] * sigma[a + 1]
             omega[a + 1][a] = -omega[a][a + 1]
         return tuple(tuple(row) for row in omega)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "graph": self.graph.to_json_dict(),
-            "letters": {str(d): l for d, l in sorted(self.letters.items())},
-            "labels": {str(d): s for d, s in sorted(self.labels.items())},
-        }
 
 
 def chain_surface(genus: int) -> ChainSurface:

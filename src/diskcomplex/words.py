@@ -2,8 +2,8 @@
 
 Free homotopy classes of loops on a compact oriented surface with one
 boundary component are conjugacy classes in the free group
-F = F(g_1, ..., g_{2g}).  This module fixes canonical representatives for
-oriented and unoriented classes and computes geometric self- and pairwise
+F = F(g_1, ..., g_{2g}).  This module fixes a canonical representative for
+each unoriented class and computes geometric self- and pairwise
 intersection numbers combinatorially.
 
 Letters and words.  A letter is a nonzero int: +i stands for g_i, -i for
@@ -99,14 +99,6 @@ def _least_rotation(word: Word) -> Word:
     return word[best:] + word[:best]
 
 
-def canonical_oriented(letters) -> Word:
-    """Least rotation of the cyclic reduction; raises on trivial words."""
-    w = cyclic_reduce(letters)
-    if not w:
-        raise TrivialWordError("word reduces to the identity")
-    return _least_rotation(w)
-
-
 def canonical_unoriented(letters) -> Word:
     """Least representative over rotations of the word and of its inverse."""
     w = cyclic_reduce(letters)
@@ -195,7 +187,9 @@ class CurveClass:
         n = len(w)
         for p in range(1, n + 1):
             if n % p == 0 and w == w[:p] * (n // p):
-                return CurveClass.from_letters(w[:p]), n // p
+                # canonical: the rotations and inverse of r^k are those of
+                # r raised to k, and x^k compares with y^k as x with y
+                return CurveClass(w[:p]), n // p
         raise InternalInvariantError("every word has itself as a period")
 
     @property

@@ -18,15 +18,14 @@ two is evidence rather than tautology.
   the two frontier components an odd interval contributes; that makes it
   a fair referee for the engine's choices.
 
-* Rational rank by Fraction Gaussian elimination and Smith invariants by
-  sympy, for homology cross-checks.
+* Rational rank by fraction-free (Bareiss) elimination and Smith
+  invariants by sympy, for homology cross-checks.
 
 * Maximal cliques by subset enumeration, and the quadratic dominance
   filter that reduces a facet list to its maximal faces, as references
   for the clique enumerator and the facet normalisation.
 """
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -121,25 +120,30 @@ def branch_crossing(jm_a, jm_b) -> int:
 
 
 def rational_rank(matrix) -> int:
-    """Rank over Q by dense Gaussian elimination on Fractions."""
-    rows = [[Fraction(v) for v in row] for row in matrix]
-    rank = 0
-    col = 0
+    """Rank over Q by fraction-free (Bareiss) elimination on ints.
+
+    After k pivots an entry below them is the (k+1)-minor on the pivot rows
+    and columns and its own row and column, so each update
+    (pivot * a - f * b) / previous pivot divides exactly (Sylvester's
+    identity); the assertion checks that it does.
+    """
+    rows = [list(row) for row in matrix]
     ncols = len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
+    rank, previous = 0, 1
+    for col in range(ncols):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
-            col += 1
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [v / pv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        for row in rows[rank + 1:]:
+            f = row[col]
+            for c in range(col, ncols):
+                q, r = divmod(top[col] * row[c] - f * top[c], previous)
+                assert r == 0, "Bareiss division must be exact"
+                row[c] = q
+        previous = top[col]
         rank += 1
-        col += 1
     return rank
 
 

@@ -18,6 +18,12 @@ from diskcomplex.cli import (
 from diskcomplex.errors import SchemaError
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+NOTE = ("no; finite sample probe; a full subcomplex of the infinite complex "
+        "can have homology the full complex lacks")
+
+
 def cap(capsys, argv):
     code = run(argv)
     out, err = capsys.readouterr()
@@ -28,14 +34,18 @@ class TestDims:
     def test_table(self, capsys):
         code, out, _ = cap(capsys, ["dims", "-g", "2", "-b", "0"])
         assert code == 0
-        assert "dimension     2" in out
-        assert "connectivity  2" in out
+        assert out == (
+            "genus         2\n"
+            "boundaries    0\n"
+            "dimension     2\n"
+            "connectivity  2\n"
+        )
 
     def test_json(self, capsys):
         code, out, _ = cap(capsys, ["dims", "-g", "2", "-b", "0", "--json"])
         assert code == 0
-        assert json.loads(out) == {
-            "genus": 2, "boundaries": 0, "dimension": 2, "connectivity": 2}
+        assert out == (
+            '{"boundaries":0,"connectivity":2,"dimension":2,"genus":2}\n')
 
     def test_small_surface_exits_two(self, capsys):
         code, _, err = cap(capsys, ["dims", "-g", "1", "-b", "0"])
@@ -47,14 +57,19 @@ class TestIntersect:
     def test_crossing_cores(self, capsys):
         code, out, _ = cap(capsys, ["intersect", "-g", "2", "g1", "g2"])
         assert code == 0
-        assert "geometric  1" in out
-        assert "algebraic  -1" in out
+        assert out == (
+            "class 1    g1\n"
+            "class 2    g2\n"
+            "geometric  1\n"
+            "algebraic  -1\n"
+        )
 
     def test_json(self, capsys):
         code, out, _ = cap(
             capsys, ["intersect", "-g", "2", "g1", "g2", "--json"])
-        assert json.loads(out) == {
-            "word1": "g1", "word2": "g2", "geometric": 1, "algebraic": -1}
+        assert code == 0
+        assert out == (
+            '{"algebraic":-1,"geometric":1,"word1":"g1","word2":"g2"}\n')
 
     def test_same_class_redirects_to_disk_check(self, capsys):
         code, _, err = cap(capsys, ["intersect", "-g", "2", "g1", "g1"])
@@ -71,37 +86,42 @@ class TestDiskCheck:
     def test_separating_frontier(self, capsys):
         code, out, _ = cap(capsys, ["disk-check", "-g", "2", "g1 g2 -g1 -g2"])
         assert code == 0
-        assert "disk sides         E O" in out
-        assert "disk vertex        yes" in out
+        assert out == (
+            "class              g1 g2 -g1 -g2\n"
+            "self-intersection  0\n"
+            "peripheral         no\n"
+            "disk sides         E O\n"
+            "disk vertex        yes\n"
+        )
 
     def test_json_for_a_non_vertex(self, capsys):
         code, out, _ = cap(capsys, ["disk-check", "-g", "2", "g1 g2", "--json"])
         assert code == 0
-        assert json.loads(out) == {
-            "word": "g1 g2",
-            "self_intersection": 0,
-            "peripheral": False,
-            "sides": [],
-            "disk_vertex": False,
-        }
+        assert out == (
+            '{"disk_vertex":false,"peripheral":false,"self_intersection":0,'
+            '"sides":[],"word":"g1 g2"}\n'
+        )
 
 
 class TestSplit:
     def test_two_cores(self, capsys):
         code, out, _ = cap(capsys, ["split", "-g", "2", "--curves", "z1,z3"])
         assert code == 0
-        assert "components  (0,5)" in out
-        assert "check       ok" in out
+        assert out == (
+            "ambient     genus 2, 1 boundary\n"
+            "curves      z1 z3\n"
+            "components  (0,5)\n"
+            "check       ok\n"
+        )
 
     def test_json(self, capsys):
         code, out, _ = cap(
             capsys, ["split", "-g", "2", "--curves", "z1", "--json"])
-        assert json.loads(out) == {
-            "ambient": [2, 1],
-            "curves": ["z1"],
-            "components": [[1, 3]],
-            "check": True,
-        }
+        assert code == 0
+        assert out == (
+            '{"ambient":[2,1],"check":true,"components":[[1,3]],'
+            '"curves":["z1"]}\n'
+        )
 
     def test_crossing_curves_exit_two(self, capsys):
         code, _, err = cap(capsys, ["split", "-g", "2", "--curves", "z1,z2"])
@@ -122,8 +142,26 @@ class TestGammaSample:
     def test_table(self, capsys):
         code, out, _ = cap(capsys, ["gamma", "sample", "-g", "2", "-L", "2"])
         assert code == 0
-        assert "vertices          6" in out
-        assert "conclusive        no" in out
+        assert out == (
+            "genus             2\n"
+            "budget            2\n"
+            "enumerated        64\n"
+            "vertices          6\n"
+            "edges             9\n"
+            "max simplex dim   2\n"
+            "betti0 (reduced)  0\n"
+            "betti1            2\n"
+            f"conclusive        {NOTE}\n"
+        )
+
+    def test_json(self, capsys):
+        code, out, _ = cap(
+            capsys, ["gamma", "sample", "-g", "2", "-L", "2", "--json"])
+        assert code == 0
+        assert out == (
+            '{"betti0":0,"betti1":2,"conclusive":false,"edges":9,'
+            '"max_simplex_dim":2,"n_enumerated":64,"vertices":6}\n'
+        )
 
     def test_budget_cap_exits_two(self, capsys):
         code, _, err = cap(
@@ -141,25 +179,42 @@ class TestGammaSample:
 
 
 class TestPersistence:
+    def test_build_summary_table(self, capsys):
+        code, out, _ = cap(capsys, ["bbm", "build", "-g", "2"])
+        assert code == 0
+        assert out == (
+            "genus      2\n"
+            "vertices   9\n"
+            "edges      21\n"
+            "f-vector   (9, 21, 14)\n"
+            "dimension  2\n"
+        )
+
     def test_build_then_homology_round_trip(self, capsys, tmp_path):
         path = tmp_path / "g2.json"
         code, out, _ = cap(
             capsys, ["bbm", "build", "-g", "2", "--out", str(path)])
         assert code == 0
-        assert str(path) in out
+        assert out == f"wrote {path}\n"
 
         code, out, _ = cap(capsys, ["homology", str(path)])
         assert code == 0
-        assert "f-vector  (9, 21, 14)" in out
-        assert "betti     (0, 0, 1)" in out
-        assert "leftover  (0, 0, 1)" in out
-        assert "sphere    yes (dimension 2)" in out
+        assert out == (
+            "schema    diskcx/bbm-complex/1\n"
+            "f-vector  (9, 21, 14)\n"
+            "betti     (0, 0, 1)\n"
+            "torsion   none\n"
+            "leftover  (0, 0, 1)\n"
+            "sphere    yes (dimension 2)\n"
+        )
 
         code, out, _ = cap(capsys, ["homology", str(path), "--json"])
         assert code == 0
-        result = json.loads(out)
-        assert result["betti"] == [0, 0, 1]
-        assert result["leftover"] == [0, 0, 1]
+        assert out == (
+            '{"betti":[0,0,1],"f_vector":[9,21,14],"is_sphere":true,'
+            '"leftover":[0,0,1],"schema":"diskcx/bbm-complex/1",'
+            '"sphere_dimension":2,"torsion":[[],[],[]]}\n'
+        )
 
     def test_payload_is_deterministic(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -193,8 +248,13 @@ class TestPersistence:
 
         code, out, _ = cap(capsys, ["homology", str(path)])
         assert code == 0
-        assert "f-vector  (6, 9, 2)" in out
-        assert "sphere" not in out
+        assert out == (
+            "schema    diskcx/gamma-sample/1\n"
+            "f-vector  (6, 9, 2)\n"
+            "betti     (0, 2, 0)\n"
+            "torsion   none\n"
+            "leftover  (0, 2, 0)\n"
+        )
 
     def test_unknown_schema_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -259,11 +319,10 @@ class TestPersistence:
 
 class TestDependencies:
     def test_cli_import_loads_no_networkx(self):
-        src = Path(__file__).resolve().parent.parent / "src"
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, diskcomplex.cli; print('networkx' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
@@ -279,3 +338,15 @@ class TestParser:
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             run([])
+
+
+class TestMain:
+    @pytest.mark.parametrize("genus, code", [("2", 0), ("1", 2)])
+    def test_module_exit_code(self, genus, code):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diskcomplex", "dims", "-g", genus,
+             "-b", "0"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr

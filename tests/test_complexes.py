@@ -178,6 +178,10 @@ class TestSmithNormalForm:
                     else 0 for _ in range(n + extra)]
                    for _ in range(n)]
                   for n in range(8, 31, 2) for extra in (0, 6)]
+        sparse += [[[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.15
+                     else 0 for _ in range(n + 12)]
+                    for _ in range(n)]
+                   for n in range(8, 31, 2)]
         for m in dense + sparse:
             divisors, rank = smith_normal_form(m)
             assert rank == len(divisors) == rational_rank(m)

@@ -75,10 +75,6 @@ class TestRibbonGraph:
         assert len(comps) == 2
         assert all(c.n_edges == 1 for c in comps)
 
-    def test_json_round_trip(self):
-        g = torus_rose()
-        assert RibbonGraph.from_json_dict(g.to_json_dict()).rot == g.rot
-
 
 class TestChainSurface:
     def test_small_genus_rejected(self):

@@ -8,7 +8,6 @@ from diskcomplex import (
     CyclicOrder,
     TrivialWordError,
     algebraic_intersection,
-    canonical_oriented,
     canonical_unoriented,
     cyclic_reduce,
     free_reduce,
@@ -38,10 +37,6 @@ class TestWords:
     def test_cyclic_reduce_trims_conjugation(self):
         assert cyclic_reduce((2, 1, 3, -2)) == (1, 3)
         assert cyclic_reduce((1, 2, -1)) == (2,)
-
-    def test_canonical_oriented_picks_least_rotation(self):
-        assert canonical_oriented((2, 1)) == (1, 2)
-        assert canonical_oriented((2, -1)) == (-1, 2)
 
     def test_canonical_unoriented_considers_inverse(self):
         # inverse of (-1, 2) is (-2, 1), whose least rotation (1, -2) wins
