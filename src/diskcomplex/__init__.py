@@ -15,7 +15,6 @@ from .complexes import (
     HomologyProfile,
     PseudomanifoldReport,
     SimplicialComplex,
-    boundary_matrix,
     flag_from_graph,
     pseudomanifold_check,
     reduced_homology,
@@ -115,7 +114,6 @@ __all__ = [
     "all_intervals",
     "bbm_vertices",
     "bookkeeping_check",
-    "boundary_matrix",
     "bounds_disk_sides",
     "build_complex",
     "canonical_unoriented",

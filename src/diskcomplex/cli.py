@@ -10,8 +10,8 @@ One result, rendered once.  Each command returns its result as ordered
 canonical JSON object of the keyed rows, otherwise as an aligned table
 of the labelled rows.  Unkeyed rows are table-only (the sphere verdict
 of homology), unlabelled rows JSON-only (is_sphere, sphere_dimension).
-bbm build returns its document as unlabelled rows, or with --out writes
-it and prints the path.
+bbm build returns its document as unlabelled rows, or with --out (which
+excludes --json) writes it and prints the path.
 
 Document format.  Every file this tool writes is a single JSON object
 
@@ -310,8 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     bbm_sub = bbm.add_subparsers(dest="subcommand", required=True)
     bb = bbm_sub.add_parser("build", help="build the interval complex")
     bb.add_argument("-g", "--genus", type=int, required=True)
-    bb.add_argument("--out", type=Path, help="write a JSON document here")
-    bb.add_argument("--json", action="store_true", help="print the document")
+    bb_output = bb.add_mutually_exclusive_group()
+    bb_output.add_argument("--out", type=Path, help="write a JSON document here")
+    bb_output.add_argument("--json", action="store_true", help="print the document")
     bb.set_defaults(func=cmd_bbm_build)
 
     h = sub.add_parser("homology", help="homology of a persisted complex")

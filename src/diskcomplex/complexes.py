@@ -1,7 +1,11 @@
 """Finite simplicial complexes with exact integer homology.
 
-Complexes are stored by their facets over int vertex ids.  Homology is
-reduced: the chain complex is augmented by the empty face in degree -1.
+Complexes are stored by their facets over int vertex ids, and
+SimplicialComplex.faces_by_dim is the one place their faces are
+enumerated: the f-vector and the cells of the homology both come from
+it.  Homology is reduced: the chain complex is augmented by the empty
+face in degree -1, and it is always computed in every degree, so a probe
+of low degrees runs the same computation as the sphere certificate.
 All arithmetic uses Python ints, so there is no overflow to detect:
 intermediate entries grow as needed.
 
@@ -267,27 +271,14 @@ def smith_normal_form(matrix) -> tuple:
 # --------------------------------------------------------------- homology
 
 
-def boundary_matrix(faces_low, faces_high) -> dict:
-    """Sparse matrix of the simplicial boundary map, rows = lower faces."""
-    index = {f: i for i, f in enumerate(faces_low)}
-    entries = {}
-    for col, f in enumerate(faces_high):
-        for omit in range(len(f)):
-            sub = f[:omit] + f[omit + 1 :]
-            entries[(index[sub], col)] = (-1) ** omit
-    return entries
-
-
 @dataclass(frozen=True)
 class HomologyProfile:
     """Reduced integer homology: Betti numbers and torsion per degree.
 
-    cells counts, per degree from 0 up to the highest degree built, the
-    faces built (the f-vector when max_degree is None), and leftover the
-    cells that outlived the pair removals and went to the Smith form.
-    Under max_degree the highest degree built has no cofaces, so only
-    coreductions remove its cells.  cells and leftover describe the
-    computation, not the homology, so they take no part in comparisons.
+    cells is the f-vector, and leftover counts per degree the cells that
+    outlived the pair removals and went to the Smith form.  cells and
+    leftover describe the computation, not the homology, so they take no
+    part in comparisons.
     """
 
     betti: tuple  # reduced Betti numbers, degrees 0..dim
@@ -305,8 +296,8 @@ class HomologyProfile:
         )
 
 
-def _augmented_boundaries(complex_: SimplicialComplex, top: int):
-    """Boundaries of the empty face and of every face up to dimension top.
+def _augmented_boundaries(complex_: SimplicialComplex):
+    """Boundaries of the empty face and of every face of the complex.
 
     Cells are numbered by dimension, then lexicographically: cell 0 is
     the empty face and cell 1 the first vertex.  boundary[c] lists the
@@ -314,16 +305,11 @@ def _augmented_boundaries(complex_: SimplicialComplex, top: int):
     omits vertex k - i and has incidence (-1) ** (k - i).  starts[k + 1]
     is the first cell of dimension k, and starts[-1] the number of cells.
     """
-    layers = [set() for _ in range(top + 1)]
-    for f in complex_.facets:
-        for k in range(min(len(f), top + 1)):
-            layers[k].update(combinations(f, k + 1))
     index = {(): 0}
     starts = [0]
-    for k, layer in enumerate(layers):
+    for layer in complex_.faces_by_dim().values():
         starts.append(len(index))
-        index.update((f, i) for i, f in enumerate(sorted(layer), len(index)))
-        layers[k] = None  # the index holds the faces now; free the set
+        index.update((f, i) for i, f in enumerate(layer, len(index)))
     starts.append(len(index))
     lookup = index.__getitem__
     boundary = [
@@ -383,26 +369,23 @@ def _remove_pairs(boundary) -> list:
                             queue.append(z)
 
 
-def reduced_homology(complex_: SimplicialComplex, max_degree: int | None = None) -> HomologyProfile:
+def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
     """Reduced homology over Z: pair removals, then Smith forms of the rest.
 
-    The cells are the empty face and every face of dimension up to
-    max_degree + 1 (all of them without max_degree), so a probe of low
-    degrees builds only a low skeleton.  After the pair removals, with
-    leftover cells l_k and the ranks r_k of the restricted boundary maps,
-    betti_k = l_k - r_k - r_{k+1}, and the torsion of H_k is read off the
-    invariant factors of the restricted d_{k+1} exceeding 1.
+    The cells are the empty face and every face of the complex.  After
+    the pair removals, with leftover cells l_k and the ranks r_k of the
+    restricted boundary maps, betti_k = l_k - r_k - r_{k+1}, and the
+    torsion of H_k is read off the invariant factors of the restricted
+    d_{k+1} exceeding 1.
     """
     top = complex_.dimension
-    upto = top if max_degree is None else min(max_degree, top)
-    built = min(top, upto + 1)
-    boundary, starts = _augmented_boundaries(complex_, built)
+    boundary, starts = _augmented_boundaries(complex_)
     live = _remove_pairs(boundary)
 
     leftover = []
-    ranks = [0] * (built + 2)  # ranks[k]: rank of the restricted d_k
-    invariants = [()] * (built + 2)
-    for k in range(built + 1):
+    ranks = [0] * (top + 2)  # ranks[k]: rank of the restricted d_k
+    invariants = [()] * (top + 2)
+    for k in range(top + 1):
         kept = [c for c in range(starts[k + 1], starts[k + 2]) if live[c]]
         leftover.append(len(kept))
         matrix = {
@@ -415,9 +398,9 @@ def reduced_homology(complex_: SimplicialComplex, max_degree: int | None = None)
             invariants[k], ranks[k] = smith_normal_form(matrix)
 
     return HomologyProfile(
-        betti=tuple(leftover[k] - ranks[k] - ranks[k + 1] for k in range(upto + 1)),
+        betti=tuple(leftover[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)),
         torsion=tuple(
-            tuple(d for d in invariants[k + 1] if d > 1) for k in range(upto + 1)
+            tuple(d for d in invariants[k + 1] if d > 1) for k in range(top + 1)
         ),
         leftover=tuple(leftover),
         cells=tuple(b - a for a, b in zip(starts[1:], starts[2:])),

@@ -87,7 +87,7 @@ def sample_gamma(
             continue  # not cyclically reduced; its class shows up shorter
         classes.add(canonical_unoriented(word))
 
-    verts = {CurveClass(w) for w in classes if is_disk_vertex(surface, CurveClass(w))}
+    verts = {c for c in map(CurveClass, classes) if is_disk_vertex(surface, c)}
     for item in include:
         c = CurveClass.coerce(item, rank=rank)
         if not is_disk_vertex(surface, c):
@@ -135,7 +135,7 @@ class ConnectivityProbe:
 
 def connectivity_probe(sample: GammaSample) -> ConnectivityProbe:
     """Reduced betti numbers of the sample in degrees 0 and 1."""
-    profile = reduced_homology(sample.complex, max_degree=1)
+    profile = reduced_homology(sample.complex)
     return ConnectivityProbe(
         betti0=profile.betti[0],
         betti1=profile.betti[1],

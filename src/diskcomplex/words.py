@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CurveError, InternalInvariantError, TrivialWordError
 
@@ -294,12 +293,6 @@ def _crossing_configurations(order, u, v, self_mode: bool) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _cross_primitive(order: CyclicOrder, u: Word, v: Word) -> int:
-    return _crossing_configurations(order, u, v, self_mode=False)
-
-
-@lru_cache(maxsize=None)
 def _self_primitive(order: CyclicOrder, u: Word) -> int:
     total = _crossing_configurations(order, u, u, self_mode=True)
     if total % 2:
@@ -330,7 +323,9 @@ def geometric_intersection(surface, u, v) -> int:
     if ru == rv:
         # parallel axes; all crossings come from distinct lifts
         return 2 * ku * kv * _self_primitive(order, ru.letters)
-    return ku * kv * _cross_primitive(order, ru.letters, rv.letters)
+    return ku * kv * _crossing_configurations(
+        order, ru.letters, rv.letters, self_mode=False
+    )
 
 
 def self_intersection(surface, u) -> int:

@@ -21,6 +21,11 @@ two is evidence rather than tautology.
 * Rational rank by fraction-free (Bareiss) elimination and Smith
   invariants by sympy, for homology cross-checks.
 
+* The per-degree homology path, snf_homology: the package's Smith form
+  of every full boundary matrix, over faces enumerated here.  It is the
+  one reference that calls into diskcomplex, as a check of the pair
+  removals in reduced_homology rather than of the Smith form itself.
+
 * Maximal cliques by subset enumeration, and the quadratic dominance
   filter that reduces a facet list to its maximal faces, as references
   for the clique enumerator and the facet normalisation.
@@ -31,6 +36,8 @@ from math import gcd
 
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
+
+from diskcomplex import HomologyProfile, smith_normal_form
 
 # ----------------------------------------------------------- torus slopes
 
@@ -168,17 +175,26 @@ def _faces_of(facets, k):
     return sorted(faces)
 
 
+def boundary_matrix(faces_low, faces_high) -> dict:
+    """Sparse {(row, col): +-1} matrix of the simplicial boundary map,
+    rows = lower faces."""
+    index = {f: i for i, f in enumerate(faces_low)}
+    entries = {}
+    for col, f in enumerate(faces_high):
+        for omit in range(len(f)):
+            sub = f[:omit] + f[omit + 1:]
+            entries[(index[sub], col)] = (-1) ** omit
+    return entries
+
+
 def _boundary_dense(low, high):
-    index = {f: i for i, f in enumerate(low)}
     mat = [[0] * len(high) for _ in low]
-    for c, face in enumerate(high):
-        for omit in range(len(face)):
-            sub = face[:omit] + face[omit + 1:]
-            mat[index[sub]][c] = (-1) ** omit
+    for (r, c), v in boundary_matrix(low, high).items():
+        mat[r][c] = v
     return mat
 
 
-def reduced_betti_and_torsion(facets, upto=None):
+def reduced_betti_and_torsion(facets):
     """Reduced integral homology of a small complex, independently.
 
     Betti numbers come from rational ranks, torsion from sympy Smith
@@ -186,11 +202,10 @@ def reduced_betti_and_torsion(facets, upto=None):
     """
     facets = [tuple(sorted(f)) for f in facets]
     dim = max(len(f) for f in facets) - 1
-    top = dim if upto is None else min(dim, upto)
     faces = {k: _faces_of(facets, k) for k in range(dim + 1)}
     ranks = {0: 1}  # augmentation: the empty face boundary has rank 1
     torsion_source = {}
-    for k in range(1, top + 2):
+    for k in range(1, dim + 2):
         if k > dim or not faces.get(k):
             ranks[k] = 0
             torsion_source[k] = ()
@@ -200,10 +215,36 @@ def reduced_betti_and_torsion(facets, upto=None):
         torsion_source[k] = sympy_invariants(mat)
     betti = []
     torsion = []
-    for k in range(top + 1):
+    for k in range(dim + 1):
         betti.append(len(faces.get(k, ())) - ranks[k] - ranks[k + 1])
         torsion.append(tuple(d for d in torsion_source.get(k + 1, ()) if d > 1))
     return tuple(betti), tuple(torsion)
+
+
+def snf_homology(facets):
+    """Reduced homology from the Smith form of every boundary matrix.
+
+    The per-degree path, kept as a reference for the pair removals in
+    reduced_homology: betti_k = f_k - rank d_k - rank d_{k+1}, with the
+    augmentation as d_0, and the torsion of H_k from d_{k+1}.  cells and
+    leftover are both the f-vector, since nothing is removed.
+    """
+    facets = [tuple(sorted(f)) for f in facets]
+    top = max(len(f) for f in facets) - 1
+    faces = [_faces_of(facets, k) for k in range(top + 1)]
+    ranks = [1] + [0] * (top + 1)  # ranks[k]: rank of d_k, d_0 the augmentation
+    invariants = [()] * (top + 2)
+    for k in range(1, top + 1):
+        invariants[k], ranks[k] = smith_normal_form(
+            boundary_matrix(faces[k - 1], faces[k]))
+    cells = tuple(map(len, faces))
+    return HomologyProfile(
+        betti=tuple(cells[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)),
+        torsion=tuple(tuple(d for d in invariants[k + 1] if d > 1)
+                      for k in range(top + 1)),
+        leftover=cells,
+        cells=cells,
+    )
 
 
 # ------------------------------------------------------- cliques and facets

@@ -319,14 +319,19 @@ class TestPersistence:
 
 class TestDependencies:
     def test_cli_import_loads_no_networkx(self):
+        # no runtime dependency: every module the import loads is from
+        # the standard library or from diskcomplex (site hooks that load
+        # before it, such as a setuptools .pth, are not its doing)
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, diskcomplex.cli; print('networkx' in sys.modules)"],
+             "import sys; before = set(sys.modules); import diskcomplex.cli; "
+             "print(sorted({m.partition('.')[0] for m in set(sys.modules) - before}"
+             " - set(sys.stdlib_module_names) - {'diskcomplex'}))"],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
 
 class TestParser:
@@ -334,6 +339,13 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             run(["split", "-g", "2", "z1"])
         assert exc.value.code == 2
+
+    def test_build_out_with_json_is_a_usage_error(self, tmp_path):
+        out = tmp_path / "g2.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["bbm", "build", "-g", "2", "--out", str(out), "--json"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):

@@ -8,9 +8,7 @@ import pytest
 import diskcomplex.complexes as complexes
 from diskcomplex import (
     DomainError,
-    HomologyProfile,
     SimplicialComplex,
-    boundary_matrix,
     build_complex,
     flag_from_graph,
     pseudomanifold_check,
@@ -18,10 +16,12 @@ from diskcomplex import (
     smith_normal_form,
 )
 from oracles import (
+    boundary_matrix,
     maximal_cliques_brute,
     maximal_faces_quadratic,
     rational_rank,
     reduced_betti_and_torsion,
+    snf_homology,
     sympy_invariants,
 )
 
@@ -39,51 +39,32 @@ PROJECTIVE_PLANE = [
 ]
 
 
-def snf_homology(c, max_degree=None):
-    """Reduced homology from the Smith form of every boundary matrix.
-
-    The per-degree path, kept as a reference for the pair removals in
-    reduced_homology: betti_k = f_k - rank d_k - rank d_{k+1}, with the
-    augmentation as d_0, and the torsion of H_k from d_{k+1}.
-    """
-    faces = c.faces_by_dim()
-    top = c.dimension
-    upto = top if max_degree is None else min(max_degree, top)
-    cells = tuple(len(faces[k]) for k in range(min(top, upto + 1) + 1))
-    ranks = {0: 1}
-    invariants = {}
-    for k in range(1, upto + 2):
-        if k > top:
-            ranks[k], invariants[k] = 0, ()
-        else:
-            invariants[k], ranks[k] = smith_normal_form(
-                boundary_matrix(faces[k - 1], faces[k]))
-    return HomologyProfile(
-        betti=tuple(len(faces[k]) - ranks[k] - ranks[k + 1]
-                    for k in range(upto + 1)),
-        torsion=tuple(tuple(d for d in invariants[k + 1] if d > 1)
-                      for k in range(upto + 1)),
-        leftover=cells,
-        cells=cells,
-    )
+def skeleton(c, d):
+    """The (d + 1)-skeleton of c, built as a complex of its own."""
+    return SimplicialComplex.from_facets(
+        {s for f in c.facets for s in combinations(f, min(len(f), d + 2))})
 
 
 def assert_matches_references(c, oracle=True):
-    """reduced_homology agrees with snf_homology in every truncation, and
-    with the rational-rank and sympy oracle where that is affordable."""
-    for d in (None, *range(c.dimension + 1)):
-        profile = reduced_homology(c, d)
-        reference = snf_homology(c, d)
+    """reduced_homology agrees with snf_homology on every skeleton, and
+    with the rational-rank and sympy oracle where that is affordable.
+
+    The (d + 1)-skeleton has every d- and (d + 1)-face of c, so its
+    homology in degrees up to d is that of c."""
+    full = reduced_homology(c)
+    for d in range(c.dimension + 1):
+        s = skeleton(c, d)
+        profile = reduced_homology(s)
+        reference = snf_homology(s.facets)
         assert profile == reference, d
-        # a probe builds the cells up to one degree above max_degree only
-        built = c.dimension if d is None else min(c.dimension, d + 1)
-        assert len(profile.leftover) == len(profile.cells) == built + 1
+        # the reference counts faces it enumerates itself, not faces_by_dim
         assert profile.cells == reference.cells, d
-        if d is None:
-            assert profile.cells == c.f_vector()
+        assert len(profile.leftover) == s.dimension + 1
+        assert profile.betti[:d + 1] == full.betti[:d + 1], d
+        assert profile.torsion[:d + 1] == full.torsion[:d + 1], d
         if oracle:
             assert (profile.betti, profile.torsion) == (
-                reduced_betti_and_torsion(c.facets, upto=d)), d
+                reduced_betti_and_torsion(s.facets)), d
 
 
 class TestSimplicialComplex:
@@ -235,12 +216,11 @@ class TestReducedHomology:
         profile = reduced_homology(SimplicialComplex.from_facets([(0,), (1,)]))
         assert profile.betti == (1,)
 
-    def test_max_degree_truncates(self, chain2, chain3):
-        profile = reduced_homology(
-            SimplicialComplex.from_facets(OCTAHEDRON), max_degree=1
-        )
-        assert profile.betti == (0, 0)
-        assert_matches_references(SimplicialComplex.from_facets(OCTAHEDRON))
+    def test_skeletons_match_references(self, chain2, chain3):
+        # the octahedron's 1-skeleton: 6 vertices, 12 edges, 7 cycles
+        octahedron = SimplicialComplex.from_facets(OCTAHEDRON)
+        assert reduced_homology(skeleton(octahedron, 0)).betti == (0, 7)
+        assert_matches_references(octahedron)
         assert_matches_references(
             SimplicialComplex.from_facets(PROJECTIVE_PLANE))
         # the interval spheres; the dense oracle is affordable at g=2 only
