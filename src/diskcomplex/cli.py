@@ -345,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     gs = g_sub.add_parser("sample", help="sample classes up to a length budget")
     gs.add_argument("-g", "--genus", type=int, required=True)
     gs.add_argument("-L", "--budget", type=int, required=True)
-    gs.add_argument("--cap", type=int, default=10**6)
+    gs.add_argument("--cap", type=int, default=10**6,
+                    help="bound on the number of freely reduced words of "
+                         "length <= L, checked in closed form before "
+                         "enumerating; a larger count exits 2")
     gs.add_argument("--include", action="append",
                     help="extra class like 'g1 g2 -g1 -g2'; repeatable")
     gs.add_argument("--out", type=Path)

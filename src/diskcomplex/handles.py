@@ -57,9 +57,17 @@ def bounds_disk_sides(surface, curve) -> frozenset:
 
 
 def is_disk_vertex(surface, curve) -> bool:
-    """True when the class is simple, essential, and bounds on some side."""
+    """True when the class is simple, essential, and bounds on some side.
+
+    The linear side test runs first, so the costlier self-intersection
+    count only runs on classes that die on a side.
+    """
     try:
-        sides = bounds_disk_sides(surface, curve)
+        c = CurveClass.coerce(curve, 2 * surface.genus)
     except (CurveError, TrivialWordError):
         return False
-    return bool(sides)
+    return (
+        any(dies_on(c.letters, side) for side in Side)
+        and is_essential(surface, c)
+        and self_intersection(surface, c) == 0
+    )

@@ -29,7 +29,7 @@ from .complexes import SimplicialComplex, flag_from_graph
 from .errors import InternalInvariantError, IntervalError
 from .handles import Side, bounds_disk_sides
 from .ribbon import ChainSurface
-from .words import CurveClass, geometric_intersection, is_essential, self_intersection
+from .words import CurveClass, _root_intersection, is_essential, self_intersection
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,16 @@ def disjointness_complex(surface: ChainSurface, classes) -> tuple:
     """Disjointness graph of a sequence of classes and its flag complex.
 
     Returns (edges, complex): edges are the index pairs (a, b), a < b,
-    whose classes have geometric intersection 0.
+    whose classes have geometric intersection 0.  Each class is split into
+    its primitive root and power once, not once per pair.
     """
+    order = surface.rose_order
+    roots = [CurveClass.coerce(c, order.rank).root_and_power() for c in classes]
     edges = tuple(
         (a, b)
-        for a in range(len(classes))
-        for b in range(a + 1, len(classes))
-        if geometric_intersection(surface, classes[a], classes[b]) == 0
+        for a in range(len(roots))
+        for b in range(a + 1, len(roots))
+        if _root_intersection(order, roots[a], roots[b]) == 0
     )
     return edges, flag_from_graph(range(len(classes)), edges)
 

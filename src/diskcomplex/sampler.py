@@ -20,30 +20,39 @@ from .errors import BudgetError, CurveError, DomainError, InternalInvariantError
 from .handles import bounds_disk_sides, is_disk_vertex
 from .intervals import disjointness_complex
 from .ribbon import ChainSurface
-from .words import CurveClass, canonical_unoriented, letter_key
+from .words import CurveClass, key_letter
 
 
-def _reduced_words(rank: int, max_len: int):
-    """Freely reduced words over +-1..rank up to max_len, depth first in
-    the letter order g1 < g1^-1 < g2 < ..."""
-    alphabet = sorted(
-        (l for a in range(1, rank + 1) for l in (a, -a)), key=letter_key
-    )
-    prefix: list = []
+def _canonical_classes(rank: int, max_len: int):
+    """Canonical words of all classes of length 1..max_len, each once.
 
-    def extend():
-        if prefix:
-            yield tuple(prefix)
-        if len(prefix) == max_len:
+    Depth first over prenecklaces (Fredricksen-Kessler-Maiorana, in the
+    form of Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 2000)
+    in the letter_key alphabet 0..2*rank-1, where the inverse of key x is
+    x ^ 1 and no key is placed after its inverse.  A prefix a[1..n] whose
+    longest Lyndon prefix has length p is its own least rotation exactly
+    when p divides n; it is emitted when, in addition, its last key does
+    not cancel its first (it is cyclically reduced) and no rotation of its
+    inverse is smaller.  It is then the canonical word of its class.
+    """
+    a = [0] * (max_len + 1)  # a[0] = 0 starts the recursion with p = 1
+
+    def extend(t, p):
+        n = t - 1
+        if n and n % p == 0 and a[n] ^ 1 != a[1]:
+            word = tuple(a[1:t])
+            inv = tuple(x ^ 1 for x in reversed(word)) * 2
+            if all(word <= inv[s:s + n] for s in range(n)):
+                yield tuple(map(key_letter, word))
+        if n == max_len:
             return
-        for l in alphabet:
-            if prefix and l == -prefix[-1]:
+        for x in range(a[t - p], 2 * rank):
+            if n and x == a[n] ^ 1:
                 continue
-            prefix.append(l)
-            yield from extend()
-            prefix.pop()
+            a[t] = x
+            yield from extend(t + 1, p if x == a[t - p] else t)
 
-    yield from extend()
+    yield from extend(1, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,29 +74,33 @@ def sample_gamma(
 ) -> GammaSample:
     """All disk-bounding classes of word length <= budget, plus includes.
 
-    budget bounds the length of enumerated representatives; cap bounds the
-    raw number of enumerated words and raising BudgetError rather than
-    grinding keeps accidental budget=30 runs from hanging.  Classes in
+    Each class of length <= budget is generated once, by its canonical
+    word, and streamed through the disk predicate.  n_enumerated is the
+    number of freely reduced words of length 1..budget, the sum over
+    k <= budget of 4g(4g-1)^(k-1), which those classes stand for.  cap
+    bounds that count, and the check runs before anything is enumerated,
+    so an accidental budget=30 raises BudgetError at once.  Classes in
     include join the sample regardless of length but must themselves be
     disk-bounding.
     """
     if not isinstance(budget, int) or budget < 1:
         raise DomainError("budget must be a positive word length")
     rank = 2 * surface.genus
-    classes = set()
-    count = 0
-    for word in _reduced_words(rank, budget):
-        count += 1
+    count, words = 0, 2 * rank
+    for _ in range(budget):
+        count += words
         if count > cap:
             raise BudgetError(
-                f"enumeration passed the cap of {cap} words; "
+                f"enumeration would pass the cap of {cap} words; "
                 "lower the budget or raise the cap"
             )
-        if len(word) > 1 and word[0] == -word[-1]:
-            continue  # not cyclically reduced; its class shows up shorter
-        classes.add(canonical_unoriented(word))
+        words *= 2 * rank - 1
 
-    verts = {c for c in map(CurveClass, classes) if is_disk_vertex(surface, c)}
+    verts = {
+        c
+        for c in map(CurveClass, _canonical_classes(rank, budget))
+        if is_disk_vertex(surface, c)
+    }
     for item in include:
         c = CurveClass.coerce(item, rank=rank)
         if not is_disk_vertex(surface, c):

@@ -93,19 +93,25 @@ def _key_seq(word):
     return tuple(letter_key(l) for l in word)
 
 
-def _least_rotation(word: Word) -> Word:
-    best = min(range(len(word)), key=lambda s: _key_seq(word[s:] + word[:s]))
-    return word[best:] + word[:best]
+def key_letter(key: int) -> int:
+    """The letter at a letter_key position; the inverse of key x is x ^ 1."""
+    return -(key // 2 + 1) if key & 1 else key // 2 + 1
 
 
 def canonical_unoriented(letters) -> Word:
-    """Least representative over rotations of the word and of its inverse."""
+    """Least representative over rotations of the word and of its inverse.
+
+    The 2n rotations are compared as slices of doubled key tuples, so the
+    letter order is integer order and each slice compares at C speed.
+    """
     w = cyclic_reduce(letters)
     if not w:
         raise TrivialWordError("word reduces to the identity")
-    a = _least_rotation(w)
-    b = _least_rotation(inverse(w))
-    return a if _key_seq(a) <= _key_seq(b) else b
+    k = _key_seq(w)
+    inv = tuple(x ^ 1 for x in reversed(k))
+    n = len(k)
+    best = min(d[s:s + n] for d in (k + k, inv + inv) for s in range(n))
+    return tuple(map(key_letter, best))
 
 
 def shortlex_key(word):
@@ -316,10 +322,16 @@ def geometric_intersection(surface, u, v) -> int:
     CurveClass, letter tuples, or token strings.
     """
     order = _order_of(surface)
-    cu = CurveClass.coerce(u, order.rank)
-    cv = CurveClass.coerce(v, order.rank)
-    ru, ku = cu.root_and_power()
-    rv, kv = cv.root_and_power()
+    return _root_intersection(
+        order,
+        CurveClass.coerce(u, order.rank).root_and_power(),
+        CurveClass.coerce(v, order.rank).root_and_power(),
+    )
+
+
+def _root_intersection(order: CyclicOrder, u, v) -> int:
+    """geometric_intersection of two classes given as (root, power) pairs."""
+    (ru, ku), (rv, kv) = u, v
     if ru == rv:
         # parallel axes; all crossings come from distinct lifts
         return 2 * ku * kv * _self_primitive(order, ru.letters)

@@ -26,6 +26,11 @@ two is evidence rather than tautology.
   one reference that calls into diskcomplex, as a check of the pair
   removals in reduced_homology rather than of the Smith form itself.
 
+* Free group words by brute force: every freely reduced word up to a
+  length, and the canonical class of a word as the least key sequence over
+  all rotations of it and of its inverse.  These are the references for
+  the sampler's class generator and for canonical_unoriented.
+
 * Maximal cliques by subset enumeration, and the quadratic dominance
   filter that reduces a facet list to its maximal faces, as references
   for the clique enumerator and the facet normalisation.
@@ -79,6 +84,53 @@ def primitive_slopes(bound: int) -> list:
                 continue
             out.add((p, q) if p > 0 or (p == 0 and q > 0) else (-p, -q))
     return sorted(out)
+
+
+# ------------------------------------------------------------ free group
+
+
+def _key(letter: int) -> int:
+    """Letter order g1 < g1^-1 < g2 < g2^-1 < ..."""
+    return 2 * (abs(letter) - 1) + (letter < 0)
+
+
+def reduced_words(rank: int, max_len: int):
+    """Freely reduced words over +-1..rank up to max_len, depth first in
+    the letter order g1 < g1^-1 < g2 < ..."""
+    alphabet = sorted(
+        (l for a in range(1, rank + 1) for l in (a, -a)), key=_key
+    )
+    prefix: list = []
+
+    def extend():
+        if prefix:
+            yield tuple(prefix)
+        if len(prefix) == max_len:
+            return
+        for l in alphabet:
+            if prefix and l == -prefix[-1]:
+                continue
+            prefix.append(l)
+            yield from extend()
+            prefix.pop()
+
+    yield from extend()
+
+
+def canonical_class(word) -> tuple:
+    """Canonical word of the unoriented class of a freely reduced word:
+    cyclically reduce, then take the rotation of the word or of its inverse
+    whose key sequence is least."""
+    w = list(word)
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+    if not w:
+        raise ValueError("word reduces to the identity")
+    inv = [-l for l in reversed(w)]
+    rotations = [
+        tuple(x[s:] + x[:s]) for x in (w, inv) for s in range(len(w))
+    ]
+    return min(rotations, key=lambda r: [_key(l) for l in r])
 
 
 # --------------------------------------------------------- branch pattern

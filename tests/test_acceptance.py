@@ -19,6 +19,7 @@ from diskcomplex import (
     bounds_disk_sides,
     build_complex,
     chain_surface,
+    connectivity_probe,
     cut_along,
     bookkeeping_check,
     dims,
@@ -266,3 +267,16 @@ def test_criterion_12_genus_five_sphere():
         assert profile.betti == (0, 0, 0, 0, 0, 0, 0, 0, 1)
         assert all(t == () for t in profile.torsion)
         assert pseudomanifold_check(cx, 8).ok
+
+
+def test_criterion_13_genus_four_sample():
+    with certify(13, "genus-4 sample to length 4", budget=30.0) as notes:
+        surface = chain_surface(4)
+        s = sample_gamma(surface, 4)
+        # every freely reduced word of length <= 4 over 8 generators
+        assert s.n_enumerated == sum(16 * 15 ** (k - 1) for k in range(1, 5))
+        assert (len(s.vertices), len(s.edges)) == (109, 1391)
+        assert max_simplex_probe(s) == 8 <= 3 * 4 - 3
+        probe = connectivity_probe(s)
+        assert (probe.betti0, probe.betti1) == (0, 0)
+        notes.append("%d classes kept of %d words" % (len(s.vertices), s.n_enumerated))

@@ -1,5 +1,7 @@
 """Bounded enumeration of disk-bounding classes and simplex probes."""
 
+import time
+
 import pytest
 
 from diskcomplex import (
@@ -14,6 +16,12 @@ from diskcomplex import (
     max_simplex_probe,
     sample_gamma,
 )
+from diskcomplex.sampler import _canonical_classes
+from oracles import canonical_class, reduced_words
+
+# (genus, budget) pairs small enough to enumerate every reduced word
+BRUTE = [(2, L) for L in range(1, 6)] + [(3, L) for L in range(1, 5)] + [
+    (4, L) for L in range(1, 4)]
 
 
 def classes(*words):
@@ -89,6 +97,29 @@ class TestSampleGamma:
     def test_enumeration_count_reported(self, chain2):
         # eight reduced words of length one over four generators
         assert sample_gamma(chain2, 1).n_enumerated == 8
+
+
+class TestClassEnumeration:
+    @pytest.mark.parametrize("genus, budget", BRUTE)
+    def test_one_canonical_word_per_class(self, genus, budget):
+        generated = list(_canonical_classes(2 * genus, budget))
+        assert len(generated) == len(set(generated))
+        brute = {canonical_class(w) for w in reduced_words(2 * genus, budget)}
+        assert set(generated) == brute
+
+    @pytest.mark.parametrize("genus, budget", BRUTE)
+    def test_closed_form_count_is_the_word_count(self, genus, budget):
+        n = sum(1 for _ in reduced_words(2 * genus, budget))
+        surface = chain_surface(genus)
+        with pytest.raises(BudgetError, match=f"cap of {n - 1} "):
+            sample_gamma(surface, budget, cap=n - 1)
+        assert sample_gamma(surface, budget, cap=n).n_enumerated == n
+
+    def test_cap_is_checked_before_enumerating(self, chain2):
+        t0 = time.monotonic()
+        with pytest.raises(BudgetError, match="cap of 1000000 "):
+            sample_gamma(chain2, 30)
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestMaxSimplexProbe:
