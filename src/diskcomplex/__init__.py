@@ -31,7 +31,7 @@ from .errors import (
     TrivialWordError,
     UnsupportedCut,
 )
-from .handles import Side, bounds_disk_sides, dies_on, is_disk_vertex, kill_word
+from .handles import Side, bounds_disk_sides, dies_on, kill_word
 from .intervals import (
     Interval,
     IntervalComplexBuild,
@@ -130,7 +130,6 @@ __all__ = [
     "geometric_intersection",
     "interval_walks",
     "inverse",
-    "is_disk_vertex",
     "is_essential",
     "kill_word",
     "letter_key",

@@ -212,16 +212,11 @@ def cmd_intersect(args) -> list:
 def cmd_disk_check(args) -> list:
     surface = chain_surface(args.genus)
     c = CurveClass.from_string(args.word, 2 * args.genus)
-    si = self_intersection(surface, c)
-    peripheral = c == surface.boundary_class
-    if si == 0 and not peripheral:
-        sides = bounds_disk_sides(surface, c)
-    else:
-        sides = frozenset()
+    sides = bounds_disk_sides(surface, c)
     return [
         ("class", "word", str(c)),
-        ("self-intersection", "self_intersection", si),
-        ("peripheral", "peripheral", peripheral),
+        ("self-intersection", "self_intersection", self_intersection(surface, c)),
+        ("peripheral", "peripheral", c == surface.boundary_class),
         ("disk sides", "sides", sorted(s.value for s in sides)),
         ("disk vertex", "disk_vertex", bool(sides)),
     ]

@@ -8,17 +8,17 @@ class bounds a disk on side X exactly when deleting the killed letters
 from (a cyclic representative of) its word leaves nothing after free and
 cyclic reduction.
 
-The predicates below are stated for simple essential classes only; by
-Dehn's lemma the algebraic condition then certifies an embedded
-compressing disk.  Non-simple or peripheral input is a caller error for
-bounds_disk_sides and simply "not a vertex" for is_disk_vertex.
+A class is a disk vertex when it is simple, essential, and dies on some
+side; by Dehn's lemma the algebraic condition then certifies an embedded
+compressing disk.  bounds_disk_sides is the one test for this: it
+returns the sides for a disk vertex and the empty set for every other
+class, peripheral and non-simple ones included.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .errors import CurveError, TrivialWordError
 from .words import CurveClass, cyclic_reduce, is_essential, self_intersection
 
 
@@ -42,32 +42,13 @@ def dies_on(word, side: Side) -> bool:
 
 
 def bounds_disk_sides(surface, curve) -> frozenset:
-    """Subset of {O, E} on which a simple essential class bounds a disk.
-
-    Raises CurveError on peripheral or non-simple input; those classes
-    have no embedded-disk reading.
-    """
-    c = CurveClass.coerce(curve, 2 * surface.genus)
-    if not is_essential(surface, c):
-        raise CurveError("peripheral class: isotopic to the boundary")
-    si = self_intersection(surface, c)
-    if si != 0:
-        raise CurveError(f"class is not simple (self-intersection {si})")
-    return frozenset(side for side in Side if dies_on(c.letters, side))
-
-
-def is_disk_vertex(surface, curve) -> bool:
-    """True when the class is simple, essential, and bounds on some side.
+    """Sides on which the class bounds a disk; empty unless a disk vertex.
 
     The linear side test runs first, so the costlier self-intersection
     count only runs on classes that die on a side.
     """
-    try:
-        c = CurveClass.coerce(curve, 2 * surface.genus)
-    except (CurveError, TrivialWordError):
-        return False
-    return (
-        any(dies_on(c.letters, side) for side in Side)
-        and is_essential(surface, c)
-        and self_intersection(surface, c) == 0
-    )
+    c = CurveClass.coerce(curve, 2 * surface.genus)
+    sides = frozenset(side for side in Side if dies_on(c.letters, side))
+    if sides and is_essential(surface, c) and self_intersection(surface, c) == 0:
+        return sides
+    return frozenset()

@@ -29,7 +29,7 @@ from .complexes import SimplicialComplex, flag_from_graph
 from .errors import InternalInvariantError, IntervalError
 from .handles import Side, bounds_disk_sides
 from .ribbon import ChainSurface
-from .words import CurveClass, _root_intersection, is_essential, self_intersection
+from .words import CurveClass, _root_intersection, is_essential
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,8 @@ def x_curve(surface: ChainSurface, interval: Interval):
     dying = [c for c in classes if predicted in bounds_disk_sides(surface, c)]
     if not dying:
         raise InternalInvariantError(
-            f"no frontier component of {interval} bounds on side {predicted.value}"
+            f"no frontier component of {interval} is a simple class "
+            f"bounding on side {predicted.value}"
         )
     chosen = min(dying, key=lambda c: c.shortlex())
     rejected = classes[1] if chosen == classes[0] else classes[0]
@@ -145,7 +146,8 @@ def bbm_vertices(surface: ChainSurface):
     """All interval-curve vertices, ordered by (j, m).
 
     Returns (vertices, odd_choices).  Raises when two intervals carry one
-    class or when a class misses its parity-predicted side; either means
+    class or when a class is not a disk vertex on its parity-predicted
+    side (so also when it is not simple or is peripheral); either means
     the model is broken and nothing downstream can be trusted.
     """
     vertices = []
@@ -153,12 +155,11 @@ def bbm_vertices(surface: ChainSurface):
     seen: dict = {}
     for interval in all_intervals(surface.genus):
         curve, choice = x_curve(surface, interval)
-        if self_intersection(surface, curve) != 0:
-            raise InternalInvariantError(f"frontier of {interval} is not simple")
         sides = bounds_disk_sides(surface, curve)
         if interval.predicted_side not in sides:
             raise InternalInvariantError(
-                f"{interval} misses predicted side {interval.predicted_side.value}"
+                f"frontier of {interval} is not a simple essential class "
+                f"bounding on predicted side {interval.predicted_side.value}"
             )
         if curve in seen:
             raise InternalInvariantError(

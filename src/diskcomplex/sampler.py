@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, reduced_homology
 from .errors import BudgetError, CurveError, DomainError, InternalInvariantError
-from .handles import bounds_disk_sides, is_disk_vertex
+from .handles import bounds_disk_sides
 from .intervals import disjointness_complex
 from .ribbon import ChainSurface
 from .words import CurveClass, key_letter
@@ -75,13 +75,13 @@ def sample_gamma(
     """All disk-bounding classes of word length <= budget, plus includes.
 
     Each class of length <= budget is generated once, by its canonical
-    word, and streamed through the disk predicate.  n_enumerated is the
-    number of freely reduced words of length 1..budget, the sum over
-    k <= budget of 4g(4g-1)^(k-1), which those classes stand for.  cap
-    bounds that count, and the check runs before anything is enumerated,
-    so an accidental budget=30 raises BudgetError at once.  Classes in
-    include join the sample regardless of length but must themselves be
-    disk-bounding.
+    word, and streamed once through bounds_disk_sides, whose sides are
+    kept with each class it accepts.  n_enumerated is the number of
+    freely reduced words of length 1..budget, the sum over k <= budget of
+    4g(4g-1)^(k-1), which those classes stand for.  cap bounds that count,
+    and the check runs before anything is enumerated, so an accidental
+    budget=30 raises BudgetError at once.  Classes in include join the
+    sample regardless of length but must themselves be disk-bounding.
     """
     if not isinstance(budget, int) or budget < 1:
         raise DomainError("budget must be a positive word length")
@@ -97,24 +97,24 @@ def sample_gamma(
         words *= 2 * rank - 1
 
     verts = {
-        c
+        c: sides
         for c in map(CurveClass, _canonical_classes(rank, budget))
-        if is_disk_vertex(surface, c)
+        if (sides := bounds_disk_sides(surface, c))
     }
     for item in include:
         c = CurveClass.coerce(item, rank=rank)
-        if not is_disk_vertex(surface, c):
+        sides = bounds_disk_sides(surface, c)
+        if not sides:
             raise CurveError(f"included class {c} bounds no disk")
-        verts.add(c)
+        verts[c] = sides
 
     ordered = tuple(sorted(verts, key=lambda c: c.shortlex()))
-    sides = tuple(bounds_disk_sides(surface, c) for c in ordered)
     edges, complex_ = disjointness_complex(surface, ordered)
     return GammaSample(
         surface=surface,
         max_length=budget,
         vertices=ordered,
-        sides=sides,
+        sides=tuple(verts[c] for c in ordered),
         edges=edges,
         complex=complex_,
         n_enumerated=count,

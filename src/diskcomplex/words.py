@@ -21,7 +21,7 @@ the same rotation, because deck transformations preserve direction labels.
 A nontrivial class w acts on the tree with an axis; minimal-position
 representatives of two classes meet exactly where lifted axes cross, and
 an axis crossing is visible at infinity: the two pairs of endpoints must
-separate each other on the boundary circle.  Crossings of distinct
+separate each other on the boundary circle.  Crossings of two
 primitive classes u, v are therefore counted by the configurations
 (s, j) in [0, p) x [0, q) that place both axes through a common base
 vertex, keeping a configuration only when
@@ -36,13 +36,20 @@ Rays are compared letterwise to the horizon p + q + 2; by Fine and Wilf,
 two distinct axes agreeing that far would be powers of a common word, so
 hitting the horizon signals corrupted input and raises.  Orientation of a
 triple of rays reduces to the rotation rho at the vertex where they part
-company (orient3 below).  Self-intersections count ordered pairs s != j of
-shifts of one primitive word; the involution swapping the two strands
-pairs the configurations, so the pinned linked count is even and halves.
+company (orient3 below).
 
-Non-primitive classes are handled by the power formulas: for primitive r,
-distinct classes r^a, r^b have parallel axes and meet in 2ab SI(r) points,
-and SI(r^k) = k^2 SI(r) + (k - 1).
+The same count serves u = v.  The configuration s = j lays both axes on
+one line, and pinning drops it: there the backward u-direction is
+-u[s-1] = -v[j-1], which runs along the v-axis.  Every other pair of
+shifts places two distinct lifts of the one axis; the involution swapping
+the two strands pairs those configurations, so the count is even and is
+twice the self-intersection number SI(u).
+
+Non-primitive classes are handled by the power formulas: the count for
+r^a, s^b is ab times the count for their primitive roots r, s.  With
+distinct roots that is ab i(r, s); with one root it is 2ab SI(r), the
+crossings of the parallel axes of distinct classes r^a, r^b.  Finally
+SI(r^k) = k^2 SI(r) + (k - 1).
 """
 
 from __future__ import annotations
@@ -276,21 +283,20 @@ def _orient3(order: CyclicOrder, r1, r2, r3) -> int:
     return order.cyc(direction[1], direction[2], direction[3])
 
 
-def _crossing_configurations(order, u, v, self_mode: bool) -> int:
+def _crossing_configurations(order, u, v) -> int:
     p, q = len(u), len(v)
     horizon = p + q + 2
     u_rays = [_rays(u, s, horizon) for s in range(p)]
-    v_rays = u_rays if self_mode else [_rays(v, j, horizon) for j in range(q)]
+    v_rays = u_rays if u == v else [_rays(v, j, horizon) for j in range(q)]
     total = 0
     for s in range(p):
         fu, bu = u_rays[s]
         back = -u[(s - 1) % p]
         for j in range(q):
-            if self_mode and s == j:
-                continue
             # pinning: configurations where the backward u-ray runs along
             # the v-axis describe the same crossing shifted along the
-            # common segment; count only the segment's start
+            # common segment; count only the segment's start (this also
+            # drops s == j when u == v, where the two axes coincide)
             if back == v[j] or back == -v[(j - 1) % q]:
                 continue
             fv, bv = v_rays[j]
@@ -300,16 +306,10 @@ def _crossing_configurations(order, u, v, self_mode: bool) -> int:
 
 
 def _self_primitive(order: CyclicOrder, u: Word) -> int:
-    total = _crossing_configurations(order, u, u, self_mode=True)
+    total = _crossing_configurations(order, u, u)
     if total % 2:
         raise InternalInvariantError("self-crossing configurations must pair up")
     return total // 2
-
-
-def _order_of(surface_or_order) -> CyclicOrder:
-    if isinstance(surface_or_order, CyclicOrder):
-        return surface_or_order
-    return surface_or_order.rose_order
 
 
 # ------------------------------------------------------------- public api
@@ -318,10 +318,10 @@ def _order_of(surface_or_order) -> CyclicOrder:
 def geometric_intersection(surface, u, v) -> int:
     """Minimal number of transverse crossings between two unoriented classes.
 
-    Accepts a chain surface or a bare CyclicOrder, and classes as
+    Accepts a surface (anything with a rose_order) and classes as
     CurveClass, letter tuples, or token strings.
     """
-    order = _order_of(surface)
+    order = surface.rose_order
     return _root_intersection(
         order,
         CurveClass.coerce(u, order.rank).root_and_power(),
@@ -332,16 +332,11 @@ def geometric_intersection(surface, u, v) -> int:
 def _root_intersection(order: CyclicOrder, u, v) -> int:
     """geometric_intersection of two classes given as (root, power) pairs."""
     (ru, ku), (rv, kv) = u, v
-    if ru == rv:
-        # parallel axes; all crossings come from distinct lifts
-        return 2 * ku * kv * _self_primitive(order, ru.letters)
-    return ku * kv * _crossing_configurations(
-        order, ru.letters, rv.letters, self_mode=False
-    )
+    return ku * kv * _crossing_configurations(order, ru.letters, rv.letters)
 
 
 def self_intersection(surface, u) -> int:
-    order = _order_of(surface)
+    order = surface.rose_order
     root, k = CurveClass.coerce(u, order.rank).root_and_power()
     return k * k * _self_primitive(order, root.letters) + (k - 1)
 

@@ -24,7 +24,6 @@ from diskcomplex import (
     bookkeeping_check,
     dims,
     geometric_intersection,
-    is_disk_vertex,
     max_simplex_probe,
     pseudomanifold_check,
     reduced_homology,
@@ -77,7 +76,7 @@ def test_criterion_01_genus_two_sphere():
         surface, build, profile = sphere_profile(2)
         notes.append(certificate_path(profile))
         assert len(build.vertices) == 9
-        assert all(is_disk_vertex(surface, v.curve) for v in build.vertices)
+        assert all(bounds_disk_sides(surface, v.curve) for v in build.vertices)
         cx = build.complex
         assert cx.is_pure() and cx.dimension == 2
         assert cx.f_vector() == (9, 21, 14)

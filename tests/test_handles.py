@@ -1,16 +1,6 @@
 """Disk-bounding predicates for the two handlebody sides."""
 
-import pytest
-
-from diskcomplex import (
-    CurveClass,
-    CurveError,
-    Side,
-    bounds_disk_sides,
-    dies_on,
-    is_disk_vertex,
-    kill_word,
-)
+from diskcomplex import CurveClass, Side, bounds_disk_sides, dies_on, kill_word
 
 
 class TestKillWord:
@@ -53,12 +43,13 @@ class TestBoundsDiskSides:
         }
 
     def test_peripheral_class_rejected(self, chain2):
-        with pytest.raises(CurveError, match="peripheral"):
-            bounds_disk_sides(chain2, chain2.boundary_class)
+        # the boundary dies on both sides but bounds no embedded disk
+        assert bounds_disk_sides(chain2, chain2.boundary_class) == frozenset()
 
     def test_nonsimple_class_rejected(self, chain2):
-        with pytest.raises(CurveError, match="not simple"):
-            bounds_disk_sides(chain2, CurveClass.from_letters((1, 1)))
+        # g1 g1 dies on side O but is not simple
+        c = CurveClass.from_letters((1, 1))
+        assert bounds_disk_sides(chain2, c) == frozenset()
 
     def test_simple_nonseparating_class_may_die_nowhere(self, chain2):
         # g1 g2 is simple yet survives both killings
@@ -69,9 +60,9 @@ class TestBoundsDiskSides:
 class TestIsDiskVertex:
     def test_accepts_disk_bounders(self, chain2):
         for w in ((1,), (2,), (1, -3), (1, 2, -1, -2)):
-            assert is_disk_vertex(chain2, CurveClass.from_letters(w))
+            assert bounds_disk_sides(chain2, CurveClass.from_letters(w))
 
     def test_rejects_survivors_peripherals_and_nonsimple(self, chain2):
-        assert not is_disk_vertex(chain2, CurveClass.from_letters((1, 2)))
-        assert not is_disk_vertex(chain2, chain2.boundary_class)
-        assert not is_disk_vertex(chain2, CurveClass.from_letters((1, 1)))
+        assert not bounds_disk_sides(chain2, CurveClass.from_letters((1, 2)))
+        assert not bounds_disk_sides(chain2, chain2.boundary_class)
+        assert not bounds_disk_sides(chain2, CurveClass.from_letters((1, 1)))

@@ -3,7 +3,9 @@
 import pytest
 
 from diskcomplex import (
+    ChainSurface,
     CurveClass,
+    InternalInvariantError,
     Interval,
     IntervalError,
     Side,
@@ -15,6 +17,7 @@ from diskcomplex import (
     self_intersection,
     x_curve,
 )
+from diskcomplex.cli import run
 from oracles import branch_crossing
 
 # interval -> (canonical word, sides), worked out by hand on the chain
@@ -118,6 +121,28 @@ class TestVertexFamily:
     def test_classes_pairwise_distinct(self, chain3):
         vertices, _ = bbm_vertices(chain3)
         assert len({v.curve for v in vertices}) == len(vertices)
+
+
+class TestBrokenFrontierIsAnInvariantFailure:
+    """A frontier that is not a disk vertex means the model is broken, so
+    it raises InternalInvariantError (exit 1), not a CurveError (exit 2)."""
+
+    def test_nonsimple_odd_frontiers(self, chain2, monkeypatch, capsys):
+        walk_word = ChainSurface.walk_word
+        monkeypatch.setattr(
+            ChainSurface, "walk_word", lambda self, walk: walk_word(self, walk) * 2)
+        with pytest.raises(InternalInvariantError, match="no frontier component"):
+            x_curve(chain2, Interval(1, 3, 4))
+        assert run(["bbm", "build", "-g", "2"]) == 1
+        assert "invariant violated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("letters", [(1, 1), None], ids=["nonsimple", "peripheral"])
+    def test_vertex_that_is_not_a_disk_vertex(self, chain2, monkeypatch, letters):
+        curve = chain2.boundary_class if letters is None else CurveClass(letters)
+        monkeypatch.setattr(
+            "diskcomplex.intervals.x_curve", lambda surface, interval: (curve, None))
+        with pytest.raises(InternalInvariantError, match="not a simple essential"):
+            bbm_vertices(chain2)
 
 
 class TestDisjointnessAgainstBranchModel:

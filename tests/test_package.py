@@ -1,0 +1,40 @@
+"""Package hygiene, read from the source with the standard library ast."""
+
+import ast
+import types
+from pathlib import Path
+
+import pytest
+
+import diskcomplex
+
+MODULES = sorted(
+    p for p in Path(diskcomplex.__file__).parent.glob("*.py")
+    if p.name != "__init__.py"
+)
+
+
+def imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text())
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(set(imported_names(tree)) - used) == []
+
+
+def test_all_is_sorted_and_names_every_public_object():
+    public = {
+        name for name, value in vars(diskcomplex).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert diskcomplex.__all__ == sorted(diskcomplex.__all__)
+    assert set(diskcomplex.__all__) == public

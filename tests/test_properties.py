@@ -1,7 +1,8 @@
 """Seeded property tests of the curve algebra on random words.
 
 Standard library random only, with fixed seeds, so every run checks the
-same 2,000 freely reduced words at genus 2..4 and the same vertex pairs.
+same 2,000 freely reduced words at genus 2..4, the same vertex pairs and
+the same powers of random primitive roots.
 """
 
 import random
@@ -9,6 +10,7 @@ import random
 import pytest
 
 from diskcomplex import (
+    CurveClass,
     Side,
     algebraic_intersection,
     canonical_unoriented,
@@ -17,6 +19,7 @@ from diskcomplex import (
     geometric_intersection,
     inverse,
     sample_gamma,
+    self_intersection,
 )
 from oracles import canonical_class
 
@@ -61,7 +64,7 @@ class TestCanonicalUnoriented:
 
 class TestDiesOn:
     def test_invariant_under_rotation_and_inversion(self, words):
-        # is_disk_vertex runs the side test on canonical words only, which
+        # bounds_disk_sides runs the side test on canonical words only, which
         # is sound because dying on a side is a property of the class
         for w in words:
             for side in Side:
@@ -81,3 +84,60 @@ class TestIntersectionOnSampledPairs:
             i = geometric_intersection(surface, u, v)
             assert geometric_intersection(surface, v, u) == i
             assert i >= abs(algebraic_intersection(surface, u, v))
+
+
+ROOT_PAIRS = 300
+SURFACES = {g: chain_surface(g) for g in (2, 3, 4)}
+
+
+def power(root, k):
+    return CurveClass.from_letters(root.letters * k)
+
+
+@pytest.fixture(scope="module")
+def root_pairs():
+    """(surface, r, s, a, b): distinct primitive roots r, s and a, b in 1..3."""
+    rng = random.Random(17)
+    out = []
+    while len(out) < ROOT_PAIRS:
+        g = rng.randint(2, 4)
+        r, s = (CurveClass.from_letters(random_reduced_word(rng, 2 * g))
+                .root_and_power()[0] for _ in range(2))
+        if r != s:
+            out.append((SURFACES[g], r, s, rng.randint(1, 3), rng.randint(1, 3)))
+    return out
+
+
+class TestPowerFormulas:
+    """The one crossing count, on equal and distinct roots alike."""
+
+    def test_self_intersection_of_a_power(self, root_pairs):
+        for surface, r, _, a, _ in root_pairs:
+            si = self_intersection(surface, r)
+            assert self_intersection(surface, power(r, a)) == a * a * si + a - 1
+
+    def test_distinct_powers_of_one_root(self, root_pairs):
+        crossed = 0
+        for surface, r, _, a, b in root_pairs:
+            if a == b:
+                continue
+            si = self_intersection(surface, r)
+            got = geometric_intersection(surface, power(r, a), power(r, b))
+            assert got == 2 * a * b * si, (r, a, b)
+            crossed += si > 0
+        assert crossed > 50  # the factor 2 ab is seen, not multiplied by 0
+
+    def test_powers_of_distinct_roots(self, root_pairs):
+        crossed = 0
+        for surface, r, s, a, b in root_pairs:
+            i = geometric_intersection(surface, r, s)
+            got = geometric_intersection(surface, power(r, a), power(s, b))
+            assert got == a * b * i, (r, s, a, b)
+            crossed += i > 0 and a * b > 1
+        assert crossed > 50
+
+    def test_bounded_by_algebraic(self, root_pairs):
+        for surface, r, s, a, b in root_pairs:
+            for u, v in ((power(r, a), power(s, b)), (power(r, a), power(r, b))):
+                i = geometric_intersection(surface, u, v)
+                assert i >= abs(algebraic_intersection(surface, u, v))

@@ -9,10 +9,10 @@ from diskcomplex import (
     CurveClass,
     CurveError,
     Side,
+    bounds_disk_sides,
     chain_surface,
     connectivity_probe,
     geometric_intersection,
-    is_disk_vertex,
     max_simplex_probe,
     sample_gamma,
 )
@@ -55,7 +55,7 @@ class TestSampleGamma:
     def test_every_vertex_bounds_a_disk(self, chain2):
         s = sample_gamma(chain2, 4)
         for c in s.vertices:
-            assert is_disk_vertex(chain2, c)
+            assert bounds_disk_sides(chain2, c)
 
     def test_length_four_contains_the_even_frontier(self, chain2):
         s = sample_gamma(chain2, 4)
@@ -73,7 +73,7 @@ class TestSampleGamma:
 
     def test_boundary_class_never_sampled(self, chain2):
         # the boundary is peripheral, not a disk vertex on either side
-        assert not is_disk_vertex(chain2, chain2.boundary_class)
+        assert not bounds_disk_sides(chain2, chain2.boundary_class)
         assert chain2.boundary_class not in sample_gamma(chain2, 4).vertices
 
     def test_edges_are_disjoint_pairs(self, chain2):
