@@ -32,11 +32,23 @@ vertex, keeping a configuration only when
   * the four rays F_u, B_u, F_v, B_v emanating from the base vertex
     alternate u, v, u, v in the circular order at infinity (linking).
 
+Linking is read at one branch point per v-ray.  Pinning makes B_u leave
+F_v and B_v at the base vertex, and cyclic reduction makes it leave F_u
+there too.  In each of the triples (F_u, F_v, B_u) and (F_u, B_v, B_u)
+only F_u and the v-ray can share letters, so the triple is oriented where
+those two part: after m agreeing letters, rho orders u[s+m], v[j+m] and
+the edge back toward the base, -u[s+m-1] (for B_v, after k letters,
+u[s+k], -v[j-1-k] and -u[s+k-1]).  At m = 0 this is the tripod at the
+base, where -u[s-1] is the first letter of B_u.  The configuration is
+linked when the two orientations differ.
+
 Rays are compared letterwise to the horizon p + q + 2; by Fine and Wilf,
-two distinct axes agreeing that far would be powers of a common word, so
-hitting the horizon signals corrupted input and raises.  Orientation of a
-triple of rays reduces to the rotation rho at the vertex where they part
-company (orient3 below).
+two distinct axes agreeing that far would be powers of a common word.
+Under pinning this cannot happen on valid input: F_u agreeing with F_v to
+the horizon agrees with it forever, backwards too, so u[s-1] = v[j-1] and
+pinning has dropped the configuration (for B_v, u[s-1] = -v[j]).  The
+horizon stays as a check against corrupted input: it keeps every scan
+inside the repeated words, and a scan that reached it would raise.
 
 The same count serves u = v.  The configuration s = j lays both axes on
 one line, and pinning drops it: there the backward u-direction is
@@ -243,64 +255,39 @@ class CyclicOrder:
 # -------------------------------------------------- linked pair machinery
 
 
-def _rays(word: Word, shift: int, horizon: int):
-    p = len(word)
-    fwd = tuple(word[(shift + t) % p] for t in range(horizon))
-    back = tuple(-word[(shift - 1 - t) % p] for t in range(horizon))
-    return fwd, back
-
-
-def _divergence(a, b):
-    for t in range(len(a)):
-        if a[t] != b[t]:
+def _agreement(a, i, b, j, horizon: int) -> int:
+    """Number of letters a[i:] and b[j:] share before they part."""
+    for t in range(horizon):
+        if a[i + t] != b[j + t]:
             return t
-    return None
-
-
-def _orient3(order: CyclicOrder, r1, r2, r3) -> int:
-    """Circular orientation of three distinct rays from one tree vertex.
-
-    Whichever pair of rays shares the longest prefix parts company at a
-    vertex the third ray left earlier; at that branch point the third
-    direction is the edge back toward the base, whose label is the reversed
-    previous letter.  When all three divergences agree the rays form a
-    tripod at depth m and the three letters there decide directly.
-    """
-    d12 = _divergence(r1, r2)
-    d13 = _divergence(r1, r3)
-    d23 = _divergence(r2, r3)
-    if d12 is None or d13 is None or d23 is None:
-        raise InternalInvariantError("rays agree beyond the Fine-Wilf horizon")
-    if d12 == d13 == d23:
-        m = d12
-        return order.cyc(r1[m], r2[m], r3[m])
-    # in a tree the two smallest divergences coincide, so the max is unique
-    m, i, j = max((d23, 2, 3), (d13, 1, 3), (d12, 1, 2))
-    rays = {1: r1, 2: r2, 3: r3}
-    direction = {i: rays[i][m], j: rays[j][m]}
-    k = ({1, 2, 3} - {i, j}).pop()
-    direction[k] = -rays[i][m - 1]
-    return order.cyc(direction[1], direction[2], direction[3])
+    raise InternalInvariantError("rays agree beyond the Fine-Wilf horizon")
 
 
 def _crossing_configurations(order, u, v) -> int:
     p, q = len(u), len(v)
     horizon = p + q + 2
-    u_rays = [_rays(u, s, horizon) for s in range(p)]
-    v_rays = u_rays if u == v else [_rays(v, j, horizon) for j in range(q)]
+    # whole periods, long enough that no index below needs % (and uu[-1]
+    # is u[p - 1]); the backward v-ray from shift j reads iv from q - j
+    uu = u * (horizon // p + 2)
+    vv = v * (horizon // q + 2)
+    iv = inverse(v) * (horizon // q + 2)
+    cyc = order.cyc
     total = 0
     for s in range(p):
-        fu, bu = u_rays[s]
-        back = -u[(s - 1) % p]
+        back = -u[s - 1]
         for j in range(q):
             # pinning: configurations where the backward u-ray runs along
             # the v-axis describe the same crossing shifted along the
             # common segment; count only the segment's start (this also
             # drops s == j when u == v, where the two axes coincide)
-            if back == v[j] or back == -v[(j - 1) % q]:
+            if back == v[j] or back == -v[j - 1]:
                 continue
-            fv, bv = v_rays[j]
-            if _orient3(order, fu, fv, bu) != _orient3(order, fu, bv, bu):
+            # the backward u-ray leaves the other three rays at the base,
+            # so each side is read where the forward u-ray parts from it
+            m = _agreement(uu, s, vv, j, horizon)
+            k = _agreement(uu, s, iv, q - j, horizon)
+            if (cyc(uu[s + m], vv[j + m], -uu[s + m - 1])
+                    != cyc(uu[s + k], iv[q - j + k], -uu[s + k - 1])):
                 total += 1
     return total
 

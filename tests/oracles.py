@@ -26,6 +26,13 @@ two is evidence rather than tautology.
   one reference that calls into diskcomplex, as a check of the pair
   removals in reduced_homology rather than of the Smith form itself.
 
+* Crossings by rays: the linked-pair count of two primitive classes
+  with every ray spelled out to the Fine-Wilf horizon and each triple
+  oriented at the vertex where two of its rays part, whichever two those
+  are.  It reads all three divergences of every triple instead of
+  leaning on what pinning implies about two of them, so it referees the
+  branch-point reading in words._crossing_configurations.
+
 * Free group words by brute force: every freely reduced word up to a
   length, and the canonical class of a word as the least key sequence over
   all rotations of it and of its inverse.  These are the references for
@@ -131,6 +138,67 @@ def canonical_class(word) -> tuple:
         tuple(x[s:] + x[:s]) for x in (w, inv) for s in range(len(w))
     ]
     return min(rotations, key=lambda r: [_key(l) for l in r])
+
+
+# ------------------------------------------------------ crossings by rays
+
+
+def _rays(word, shift, horizon):
+    p = len(word)
+    fwd = tuple(word[(shift + t) % p] for t in range(horizon))
+    back = tuple(-word[(shift - 1 - t) % p] for t in range(horizon))
+    return fwd, back
+
+
+def _divergence(a, b):
+    for t in range(len(a)):
+        if a[t] != b[t]:
+            return t
+    raise AssertionError("rays agree beyond the Fine-Wilf horizon")
+
+
+def _orient3(order, r1, r2, r3) -> int:
+    """Circular orientation of three distinct rays from one tree vertex.
+
+    Whichever pair of rays shares the longest prefix parts company at a
+    vertex the third ray left earlier; at that branch point the third
+    direction is the edge back toward the base, whose label is the reversed
+    previous letter.  When all three divergences agree the rays form a
+    tripod at depth m and the three letters there decide directly.
+    """
+    d12 = _divergence(r1, r2)
+    d13 = _divergence(r1, r3)
+    d23 = _divergence(r2, r3)
+    if d12 == d13 == d23:
+        return order.cyc(r1[d12], r2[d12], r3[d12])
+    # in a tree the two smallest divergences coincide, so the max is unique
+    m, i, j = max((d23, 2, 3), (d13, 1, 3), (d12, 1, 2))
+    rays = {1: r1, 2: r2, 3: r3}
+    direction = {i: rays[i][m], j: rays[j][m]}
+    k = ({1, 2, 3} - {i, j}).pop()
+    direction[k] = -rays[i][m - 1]
+    return order.cyc(direction[1], direction[2], direction[3])
+
+
+def crossings_by_rays(order, u, v) -> int:
+    """Linked configurations (s, j) of two primitive cyclically reduced
+    words, both axes through one base vertex: the backward u-ray must leave
+    the v-axis there (pinning), and the forward v-ray and backward v-ray
+    must lie on opposite sides of the u-axis."""
+    p, q = len(u), len(v)
+    horizon = p + q + 2
+    u_rays = [_rays(u, s, horizon) for s in range(p)]
+    v_rays = [_rays(v, j, horizon) for j in range(q)]
+    total = 0
+    for s in range(p):
+        fu, bu = u_rays[s]
+        for j in range(q):
+            fv, bv = v_rays[j]
+            if bu[0] == fv[0] or bu[0] == bv[0]:
+                continue
+            if _orient3(order, fu, fv, bu) != _orient3(order, fu, bv, bu):
+                total += 1
+    return total
 
 
 # --------------------------------------------------------- branch pattern

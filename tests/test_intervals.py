@@ -149,7 +149,7 @@ class TestDisjointnessAgainstBranchModel:
     """The double branched cover predicts every pairwise intersection
     number of the chosen classes from the branch sets alone."""
 
-    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_all_pairs(self, g):
         from diskcomplex import chain_surface
 
@@ -166,7 +166,7 @@ class TestDisjointnessAgainstBranchModel:
                 got = geometric_intersection(S, va.curve, vb.curve)
                 assert got == want, (va.interval, vb.interval)
 
-    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
     def test_every_lift_pairing(self, g):
         # Four crossing points upstairs split evenly between the lifts
         # (the deck involution swaps them), so each row and column of the

@@ -1,6 +1,7 @@
 """Package hygiene, read from the source with the standard library ast."""
 
 import ast
+import collections
 import types
 from pathlib import Path
 
@@ -38,3 +39,29 @@ def test_all_is_sorted_and_names_every_public_object():
     }
     assert diskcomplex.__all__ == sorted(diskcomplex.__all__)
     assert set(diskcomplex.__all__) == public
+
+
+def test_every_private_helper_is_named_outside_its_definition():
+    # a def or class statement is not a Name node, so a module-level
+    # _helper that only its own definition mentions is counted 0 times
+    trees = {
+        p.name: ast.parse(p.read_text())
+        for p in Path(diskcomplex.__file__).parent.glob("*.py")
+    }
+    named = collections.Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                named[node.attr] += 1
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    unused = [
+        f"{module}:{node.name}"
+        for module, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not named[node.name]
+    ]
+    assert unused == []

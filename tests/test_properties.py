@@ -1,8 +1,9 @@
 """Seeded property tests of the curve algebra on random words.
 
 Standard library random only, with fixed seeds, so every run checks the
-same 2,000 freely reduced words at genus 2..4, the same vertex pairs and
-the same powers of random primitive roots.
+same 2,000 freely reduced words at genus 2..4, the same vertex pairs, the
+same powers of random primitive roots and the same root pairs against the
+ray-by-ray crossing count.
 """
 
 import random
@@ -21,7 +22,8 @@ from diskcomplex import (
     sample_gamma,
     self_intersection,
 )
-from oracles import canonical_class
+from diskcomplex.words import _crossing_configurations
+from oracles import canonical_class, crossings_by_rays
 
 WORDS = 2000
 
@@ -141,3 +143,40 @@ class TestPowerFormulas:
             for u, v in ((power(r, a), power(s, b)), (power(r, a), power(r, b))):
                 i = geometric_intersection(surface, u, v)
                 assert i >= abs(algebraic_intersection(surface, u, v))
+
+
+ORACLE_PAIRS = 2000
+
+
+class TestCrossingCountAgainstRays:
+    """The branch-point count equals the count that orients every triple of
+    rays from its three divergences, on pairs of primitive roots and on
+    each root against itself."""
+
+    @pytest.fixture(scope="class")
+    def roots(self):
+        rng = random.Random(23)
+        out = []
+        while len(out) < ORACLE_PAIRS:
+            g = rng.randint(2, 4)
+            r, s = (CurveClass.from_letters(random_reduced_word(rng, 2 * g))
+                    .root_and_power()[0].letters for _ in range(2))
+            out.append((SURFACES[g].rose_order, r, s))
+        return out
+
+    def test_distinct_pairs(self, roots):
+        crossed = 0
+        for order, r, s in roots:
+            got = _crossing_configurations(order, r, s)
+            assert got == crossings_by_rays(order, r, s), (r, s)
+            crossed += got > 0
+        assert crossed > ORACLE_PAIRS // 4
+
+    def test_each_root_with_itself(self, roots):
+        crossed = 0
+        for order, r, s in roots:
+            for w in (r, s):
+                got = _crossing_configurations(order, w, w)
+                assert got == crossings_by_rays(order, w, w), w
+                crossed += got > 0
+        assert crossed > ORACLE_PAIRS // 4
