@@ -29,7 +29,7 @@ from .complexes import SimplicialComplex, flag_from_graph
 from .errors import InternalInvariantError, IntervalError
 from .handles import Side, bounds_disk_sides
 from .ribbon import ChainSurface
-from .words import CurveClass, _root_intersection, is_essential
+from .words import CurveClass, _linked_configurations, is_essential
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ class OddChoice:
     rejected: CurveClass
     predicted: Side
     ambiguous: bool  # both components qualified and were distinct
+    sides: frozenset  # bounds_disk_sides of the chosen class
 
 
 def x_curve(surface: ChainSurface, interval: Interval):
@@ -117,7 +118,8 @@ def x_curve(surface: ChainSurface, interval: Interval):
         return classes[0], None
 
     predicted = interval.predicted_side
-    dying = [c for c in classes if predicted in bounds_disk_sides(surface, c)]
+    sides = {c: bounds_disk_sides(surface, c) for c in set(classes)}
+    dying = [c for c in classes if predicted in sides[c]]
     if not dying:
         raise InternalInvariantError(
             f"no frontier component of {interval} is a simple class "
@@ -131,6 +133,7 @@ def x_curve(surface: ChainSurface, interval: Interval):
         rejected=rejected,
         predicted=predicted,
         ambiguous=len(dying) == 2 and dying[0] != dying[1],
+        sides=sides[chosen],
     )
     return chosen, choice
 
@@ -155,7 +158,8 @@ def bbm_vertices(surface: ChainSurface):
     seen: dict = {}
     for interval in all_intervals(surface.genus):
         curve, choice = x_curve(surface, interval)
-        sides = bounds_disk_sides(surface, curve)
+        # x_curve has tested both components of an odd interval already
+        sides = bounds_disk_sides(surface, curve) if choice is None else choice.sides
         if interval.predicted_side not in sides:
             raise InternalInvariantError(
                 f"frontier of {interval} is not a simple essential class "
@@ -185,16 +189,22 @@ def disjointness_complex(surface: ChainSurface, classes) -> tuple:
     """Disjointness graph of a sequence of classes and its flag complex.
 
     Returns (edges, complex): edges are the index pairs (a, b), a < b,
-    whose classes have geometric intersection 0.  Each class is split into
-    its primitive root and power once, not once per pair.
+    whose classes have geometric intersection 0.  Each class is reduced to
+    its primitive root once, not once per pair.  For classes r^a and s^b,
+    i = ab times the linked configurations of r and s, with a, b >= 1, so
+    the pair is disjoint exactly when r and s have no linked configuration,
+    and the scan stops at the first one it finds.
     """
     order = surface.rose_order
-    roots = [CurveClass.coerce(c, order.rank).root_and_power() for c in classes]
+    roots = [
+        CurveClass.coerce(c, order.rank).root_and_power()[0].letters
+        for c in classes
+    ]
     edges = tuple(
         (a, b)
         for a in range(len(roots))
         for b in range(a + 1, len(roots))
-        if _root_intersection(order, roots[a], roots[b]) == 0
+        if not any(_linked_configurations(order, roots[a], roots[b]))
     )
     return edges, flag_from_graph(range(len(classes)), edges)
 

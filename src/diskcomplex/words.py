@@ -57,6 +57,11 @@ shifts places two distinct lifts of the one axis; the involution swapping
 the two strands pairs those configurations, so the count is even and is
 twice the self-intersection number SI(u).
 
+The linked configurations come from one generator.  Counts (pairwise
+intersection, self-intersection and its parity check) sum all of them,
+so they stay exact; the edge test i == 0 of the disjointness graph only
+asks whether there is one, and stops at the first.
+
 Non-primitive classes are handled by the power formulas: the count for
 r^a, s^b is ab times the count for their primitive roots r, s.  With
 distinct roots that is ab i(r, s); with one root it is 2ab SI(r), the
@@ -263,7 +268,8 @@ def _agreement(a, i, b, j, horizon: int) -> int:
     raise InternalInvariantError("rays agree beyond the Fine-Wilf horizon")
 
 
-def _crossing_configurations(order, u, v) -> int:
+def _linked_configurations(order, u, v):
+    """Yield each pinned, linked configuration (s, j) of primitive u, v."""
     p, q = len(u), len(v)
     horizon = p + q + 2
     # whole periods, long enough that no index below needs % (and uu[-1]
@@ -272,7 +278,6 @@ def _crossing_configurations(order, u, v) -> int:
     vv = v * (horizon // q + 2)
     iv = inverse(v) * (horizon // q + 2)
     cyc = order.cyc
-    total = 0
     for s in range(p):
         back = -u[s - 1]
         for j in range(q):
@@ -288,8 +293,11 @@ def _crossing_configurations(order, u, v) -> int:
             k = _agreement(uu, s, iv, q - j, horizon)
             if (cyc(uu[s + m], vv[j + m], -uu[s + m - 1])
                     != cyc(uu[s + k], iv[q - j + k], -uu[s + k - 1])):
-                total += 1
-    return total
+                yield s, j
+
+
+def _crossing_configurations(order, u, v) -> int:
+    return sum(1 for _ in _linked_configurations(order, u, v))
 
 
 def _self_primitive(order: CyclicOrder, u: Word) -> int:

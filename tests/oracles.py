@@ -35,8 +35,10 @@ two is evidence rather than tautology.
 
 * Free group words by brute force: every freely reduced word up to a
   length, and the canonical class of a word as the least key sequence over
-  all rotations of it and of its inverse.  These are the references for
-  the sampler's class generator and for canonical_unoriented.
+  all rotations of it and of its inverse, and whether a word dies on a
+  side, by deleting the killed letters and freely reducing the rest.
+  These are the references for the sampler's class generator and for
+  canonical_unoriented.
 
 * Maximal cliques by subset enumeration, and the quadratic dominance
   filter that reduces a facet list to its maximal faces, as references
@@ -138,6 +140,27 @@ def canonical_class(word) -> tuple:
         tuple(x[s:] + x[:s]) for x in (w, inv) for s in range(len(w))
     ]
     return min(rotations, key=lambda r: [_key(l) for l in r])
+
+
+def dies_on_side(word, side: str) -> bool:
+    """Whether the class of a word dies when side "O" or "E" is filled.
+
+    Side O fills the odd chain circles, so it kills the odd generators g1,
+    g3, ...; side E kills the even ones.  The surviving letters are freely
+    reduced on a stack; a freely reduced word is empty after cyclic
+    reduction exactly when it is empty, so the class dies exactly when the
+    stack ends empty.
+    """
+    killed = {"O": 1, "E": 0}[side]
+    stack: list = []
+    for l in word:
+        if abs(l) % 2 == killed:
+            continue
+        if stack and stack[-1] == -l:
+            stack.pop()
+        else:
+            stack.append(l)
+    return not stack
 
 
 # ------------------------------------------------------ crossings by rays

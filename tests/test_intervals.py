@@ -1,5 +1,7 @@
 """Interval frontier classes and the complex they span."""
 
+import collections
+
 import pytest
 
 from diskcomplex import (
@@ -11,7 +13,9 @@ from diskcomplex import (
     Side,
     all_intervals,
     bbm_vertices,
+    bounds_disk_sides,
     build_complex,
+    chain_surface,
     geometric_intersection,
     interval_walks,
     self_intersection,
@@ -143,6 +147,21 @@ class TestBrokenFrontierIsAnInvariantFailure:
             "diskcomplex.intervals.x_curve", lambda surface, interval: (curve, None))
         with pytest.raises(InternalInvariantError, match="not a simple essential"):
             bbm_vertices(chain2)
+
+
+class TestOneDiskTestPerClass:
+    def test_each_frontier_class_is_tested_once(self, monkeypatch):
+        # x_curve tests both components of an odd interval, and
+        # bbm_vertices reuses the chosen one's sides from the OddChoice
+        calls = collections.Counter()
+
+        def counting(surface, curve):
+            calls[curve] += 1
+            return bounds_disk_sides(surface, curve)
+
+        monkeypatch.setattr("diskcomplex.intervals.bounds_disk_sides", counting)
+        build_complex(chain_surface(4))
+        assert sum(calls.values()) == len(calls) == 47
 
 
 class TestDisjointnessAgainstBranchModel:

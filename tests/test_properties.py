@@ -22,7 +22,7 @@ from diskcomplex import (
     sample_gamma,
     self_intersection,
 )
-from diskcomplex.words import _crossing_configurations
+from diskcomplex.words import _crossing_configurations, _linked_configurations
 from oracles import canonical_class, crossings_by_rays
 
 WORDS = 2000
@@ -180,3 +180,13 @@ class TestCrossingCountAgainstRays:
                 assert got == crossings_by_rays(order, w, w), w
                 crossed += got > 0
         assert crossed > ORACLE_PAIRS // 4
+
+    def test_linked_configurations_listed_once_each(self, roots):
+        # the generator the edge test stops early on yields every counted
+        # configuration, once, inside [0, p) x [0, q)
+        for order, r, s in roots:
+            for u, v in ((r, s), (r, r)):
+                linked = list(_linked_configurations(order, u, v))
+                assert len(linked) == crossings_by_rays(order, u, v), (u, v)
+                assert len(set(linked)) == len(linked)
+                assert all(0 <= i < len(u) and 0 <= j < len(v) for i, j in linked)

@@ -16,8 +16,9 @@ from diskcomplex import (
     max_simplex_probe,
     sample_gamma,
 )
-from diskcomplex.sampler import _canonical_classes
-from oracles import canonical_class, reduced_words
+from diskcomplex.intervals import disjointness_complex
+from diskcomplex.sampler import _dying_classes
+from oracles import canonical_class, dies_on_side, reduced_words
 
 # (genus, budget) pairs small enough to enumerate every reduced word
 BRUTE = [(2, L) for L in range(1, 6)] + [(3, L) for L in range(1, 5)] + [
@@ -102,10 +103,24 @@ class TestSampleGamma:
 class TestClassEnumeration:
     @pytest.mark.parametrize("genus, budget", BRUTE)
     def test_one_canonical_word_per_class(self, genus, budget):
-        generated = list(_canonical_classes(2 * genus, budget))
+        # exactly the classes that die on a side, each by its canonical word
+        generated = list(_dying_classes(2 * genus, budget))
         assert len(generated) == len(set(generated))
-        brute = {canonical_class(w) for w in reduced_words(2 * genus, budget)}
+        brute = {
+            canonical_class(w) for w in reduced_words(2 * genus, budget)
+            if dies_on_side(w, "O") or dies_on_side(w, "E")
+        }
         assert set(generated) == brute
+
+    def test_pruned_search_size(self):
+        # 2,047 of the 18,229 classes of length <= 5 at genus 3 die on a side
+        assert sum(1 for _ in _dying_classes(6, 5)) == 2047
+
+    def test_past_the_brute_force_sizes(self):
+        s = sample_gamma(chain_surface(2), 7, cap=2 * 10**6)
+        assert len(s.vertices) == 65
+        assert len(s.edges) == 247
+        assert len(s.complex.facets) == 114
 
     @pytest.mark.parametrize("genus, budget", BRUTE)
     def test_closed_form_count_is_the_word_count(self, genus, budget):
@@ -120,6 +135,36 @@ class TestClassEnumeration:
         with pytest.raises(BudgetError, match="cap of 1000000 "):
             sample_gamma(chain2, 30)
         assert time.monotonic() - t0 < 1.0
+
+
+class TestEdgesAgainstTheFullCount:
+    """disjointness_complex stops at the first linked configuration of two
+    roots; its edges are the pairs whose full intersection count is 0."""
+
+    @pytest.mark.parametrize("genus, budget", [(2, 5), (3, 4)])
+    def test_every_sampled_pair(self, genus, budget):
+        surface = chain_surface(genus)
+        verts = sample_gamma(surface, budget).vertices
+        edges, _ = disjointness_complex(surface, verts)
+        pairs = [(a, b) for a in range(len(verts)) for b in range(a + 1, len(verts))]
+        want = {
+            (a, b) for a, b in pairs
+            if geometric_intersection(surface, verts[a], verts[b]) == 0
+        }
+        assert set(edges) == want
+        assert 0 < len(want) < len(pairs)
+
+    def test_distinct_powers_of_one_root(self, chain2):
+        # g1 g3 g2 has self-intersection 2, so it crosses its square 8 times
+        # while g1 misses g1 g1
+        family = classes((1,), (1, 1), (1, 3, 2), (1, 3, 2) * 2, (2,), (1, 2, -1, -2))
+        edges, _ = disjointness_complex(chain2, family)
+        want = {
+            (a, b) for a in range(len(family)) for b in range(a + 1, len(family))
+            if geometric_intersection(chain2, family[a], family[b]) == 0
+        }
+        assert set(edges) == want
+        assert (0, 1) in want and (2, 3) not in want
 
 
 class TestMaxSimplexProbe:

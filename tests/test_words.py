@@ -6,6 +6,7 @@ from diskcomplex import (
     CurveClass,
     CurveError,
     CyclicOrder,
+    InternalInvariantError,
     TrivialWordError,
     algebraic_intersection,
     canonical_unoriented,
@@ -18,6 +19,7 @@ from diskcomplex import (
     render_word,
     self_intersection,
 )
+from diskcomplex.words import _agreement
 from oracles import christoffel_word, primitive_slopes, torus_slope_intersection
 
 
@@ -67,6 +69,19 @@ class TestWords:
         root, k = c.root_and_power()
         assert root.letters == (1, 2) and k == 3
         assert CurveClass.from_letters((1, 2)).is_primitive
+
+
+class TestAgreementHorizon:
+    """Valid input never reaches the horizon (see the words module), so the
+    raise is exercised on corrupted input: rays that never part."""
+
+    def test_counts_the_shared_letters(self):
+        assert _agreement((1, 2, 3, 1), 1, (5, 2, 3, -1), 1, 3) == 2
+
+    def test_agreeing_to_the_horizon_raises(self):
+        ray = (1, 2) * 4
+        with pytest.raises(InternalInvariantError, match="Fine-Wilf horizon"):
+            _agreement(ray, 0, ray, 2, 6)
 
 
 class TestCyclicOrder:
