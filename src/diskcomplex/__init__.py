@@ -15,6 +15,7 @@ from .complexes import (
     HomologyProfile,
     PseudomanifoldReport,
     SimplicialComplex,
+    collapse_dominated_edges,
     flag_from_graph,
     pseudomanifold_check,
     reduced_homology,
@@ -73,6 +74,7 @@ from .words import (
     geometric_intersection,
     inverse,
     is_essential,
+    is_simple,
     letter_key,
     parse_word,
     render_word,
@@ -118,6 +120,7 @@ __all__ = [
     "build_complex",
     "canonical_unoriented",
     "chain_surface",
+    "collapse_dominated_edges",
     "complement_of_neighborhood",
     "connectivity_probe",
     "cut_along",
@@ -131,6 +134,7 @@ __all__ = [
     "interval_walks",
     "inverse",
     "is_essential",
+    "is_simple",
     "kill_word",
     "letter_key",
     "max_simplex_probe",

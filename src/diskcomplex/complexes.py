@@ -33,6 +33,16 @@ factors are unchanged).  Among entries of equal size the pivot is the
 one whose row and column are shortest: this keeps the fill low, and with
 it the units, whose loss makes the entries of the remaining rows grow
 with each pivot.
+
+A flag complex can be shrunk before any face is built.
+collapse_dominated_edges removes the edges of a graph that are dominated
+(Boissonnat and Pritam, SoCG 2020): each removal is a sequence of
+elementary collapses of the flag complex, so the flag complex of the
+graph left has the same homotopy type, and reduced_homology of it gives
+the same answer over Z.  The sampler's connectivity probe uses it, where
+it keeps 1,027 of the 7,253 cells at g = 3, L = 5.  The sphere
+certificate does not: no edge of an interval sphere is dominated, since
+the link of an edge of a flag sphere is a sphere and never a cone.
 """
 
 from __future__ import annotations
@@ -112,16 +122,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-def flag_from_graph(vertices, edges) -> SimplicialComplex:
-    """Flag (clique) complex of a graph; isolated vertices become facets.
+def _adjacency(vertices, edges):
+    """Sorted vertices and their neighbourhoods as int bitmasks.
 
-    The facets are the maximal cliques, enumerated by Bron-Kerbosch with
-    Tomita pivoting (Tomita, Tanaka, Takahashi, TCS 2006) on int bitmasks
-    over the sorted vertices.  Self-loops are ignored.
+    Bit i of adj[k] is set when order[k] and order[i] are joined by an
+    edge.  Self-loops are ignored.
     """
     order = sorted(set(vertices))
-    if not order:
-        raise DomainError("flag complex of an empty graph")
     index = {v: i for i, v in enumerate(order)}
     adj = [0] * len(order)
     for a, b in edges:
@@ -130,6 +137,19 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
         if a != b:
             adj[index[a]] |= 1 << index[b]
             adj[index[b]] |= 1 << index[a]
+    return order, adj
+
+
+def flag_from_graph(vertices, edges) -> SimplicialComplex:
+    """Flag (clique) complex of a graph; isolated vertices become facets.
+
+    The facets are the maximal cliques, enumerated by Bron-Kerbosch with
+    Tomita pivoting (Tomita, Tanaka, Takahashi, TCS 2006) on int bitmasks
+    over the sorted vertices.  Self-loops are ignored.
+    """
+    order, adj = _adjacency(vertices, edges)
+    if not order:
+        raise DomainError("flag complex of an empty graph")
 
     cliques = []
 
@@ -149,6 +169,40 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
     # maximal cliques are distinct and pairwise non-nested: no cleanup
     return SimplicialComplex(
         tuple(sorted(tuple(order[i] for i in _bits(c)) for c in cliques))
+    )
+
+
+def collapse_dominated_edges(vertices, edges) -> tuple:
+    """Edges left after removing dominated edges until none is left.
+
+    An edge uv is dominated when some w other than u and v has
+    N[u] & N[v] contained in N[w], closed neighbourhoods of the current
+    graph.  Removing it keeps the homotopy type of the flag complex
+    (Boissonnat and Pritam, SoCG 2020), so the flag complex of the edges
+    returned has the integral homology of the flag complex of the input,
+    torsion included.  A dominating w is adjacent to u and v, so each
+    removal keeps its component connected, and the core keeps a spanning
+    forest of every component.  Returns the kept edges as sorted pairs, in
+    the order of the sorted vertices; the vertices themselves all stay.
+    """
+    order, adj = _adjacency(vertices, edges)
+    closed = [mask | 1 << i for i, mask in enumerate(adj)]
+    removed = True
+    while removed:
+        removed = False
+        for u in range(len(order)):
+            for v in _bits(closed[u] >> (u + 1)):
+                v += u + 1
+                common = closed[u] & closed[v]
+                if any(not common & ~closed[w]
+                       for w in _bits(common ^ (1 << u) ^ (1 << v))):
+                    closed[u] ^= 1 << v
+                    closed[v] ^= 1 << u
+                    removed = True
+    return tuple(
+        (order[u], order[u + 1 + v])
+        for u in range(len(order))
+        for v in _bits(closed[u] >> (u + 1))
     )
 
 

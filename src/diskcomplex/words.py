@@ -59,8 +59,10 @@ twice the self-intersection number SI(u).
 
 The linked configurations come from one generator.  Counts (pairwise
 intersection, self-intersection and its parity check) sum all of them,
-so they stay exact; the edge test i == 0 of the disjointness graph only
-asks whether there is one, and stops at the first.
+so they stay exact.  The two yes-or-no tests only ask whether there is
+one, and stop at the first: the edge test i == 0 of the disjointness
+graph, and the simplicity test is_simple, which by the power formula
+below asks for a primitive class whose root is not linked with itself.
 
 Non-primitive classes are handled by the power formulas: the count for
 r^a, s^b is ab times the count for their primitive roots r, s.  With
@@ -214,12 +216,12 @@ class CurveClass:
         """Primitive root and exponent; the canonical word of w^k is periodic."""
         w = self.letters
         n = len(w)
-        for p in range(1, n + 1):
+        for p in range(1, n):
             if n % p == 0 and w == w[:p] * (n // p):
                 # canonical: the rotations and inverse of r^k are those of
                 # r raised to k, and x^k compares with y^k as x with y
                 return CurveClass(w[:p]), n // p
-        raise InternalInvariantError("every word has itself as a period")
+        return self, 1
 
     @property
     def is_primitive(self) -> bool:
@@ -334,6 +336,18 @@ def self_intersection(surface, u) -> int:
     order = surface.rose_order
     root, k = CurveClass.coerce(u, order.rank).root_and_power()
     return k * k * _self_primitive(order, root.letters) + (k - 1)
+
+
+def is_simple(surface, u) -> bool:
+    """True exactly when self_intersection(surface, u) == 0.
+
+    SI(r^k) = k^2 SI(r) + (k - 1) vanishes only for k = 1 and a root with
+    no linked configuration with itself, so the scan stops at the first.
+    """
+    order = surface.rose_order
+    root, k = CurveClass.coerce(u, order.rank).root_and_power()
+    return k == 1 and not any(
+        _linked_configurations(order, root.letters, root.letters))
 
 
 def is_essential(surface, u) -> bool:

@@ -19,6 +19,7 @@ from diskcomplex import (
     bounds_disk_sides,
     build_complex,
     chain_surface,
+    collapse_dominated_edges,
     connectivity_probe,
     cut_along,
     bookkeeping_check,
@@ -279,3 +280,24 @@ def test_criterion_13_genus_four_sample():
         probe = connectivity_probe(s)
         assert (probe.betti0, probe.betti1) == (0, 0)
         notes.append("%d classes kept of %d words" % (len(s.vertices), s.n_enumerated))
+
+
+def test_criterion_14_sampler_g3_L6_and_g4_L5():
+    with certify(14, "sampler past the default sizes", budget=30.0) as notes:
+        s36 = sample_gamma(chain_surface(3), 6, cap=10**7)
+        assert (len(s36.vertices), len(s36.edges)) == (275, 2683)
+        s45 = sample_gamma(chain_surface(4), 5)
+        assert (len(s45.vertices), len(s45.edges)) == (315, 5182)
+        assert len(s45.complex.facets) == 6660
+        kept = []
+        for s in (s36, s45):
+            probe = connectivity_probe(s)
+            assert (probe.betti0, probe.betti1) == (0, 0)
+            core = collapse_dominated_edges(range(len(s.vertices)), s.edges)
+            kept.append("%d of %d" % (len(core), len(s.edges)))
+        notes.append("probes on the edge-collapsed cores, "
+                     "%s edges kept at (3,6), %s at (4,5)" % tuple(kept))
+        # the full complex, with no collapse
+        profile = reduced_homology(s45.complex)
+        assert profile.betti == (0, 0, 2, 214, 2, 0, 0, 0, 0)
+        assert all(t == () for t in profile.torsion)

@@ -10,6 +10,8 @@ from diskcomplex import (
     DomainError,
     SimplicialComplex,
     build_complex,
+    chain_surface,
+    collapse_dominated_edges,
     flag_from_graph,
     pseudomanifold_check,
     reduced_homology,
@@ -254,6 +256,101 @@ class TestReducedHomology:
         facets = [rng.sample(range(n), rng.randint(1, min(n, 5)))
                   for _ in range(rng.randint(1, 12))]
         assert_matches_references(SimplicialComplex.from_facets(facets))
+
+
+def padded_homology(profile, length):
+    """Betti numbers and torsion, padded with zeros to the given length."""
+    extra = length - len(profile.betti)
+    return profile.betti + (0,) * extra, profile.torsion + ((),) * extra
+
+
+def assert_collapse_keeps_homology(vertices, edges):
+    """The flag complexes of the graph and of its collapsed core have equal
+    homology, for the vertex order and for its reverse (the vertices are
+    relabelled, so the removals happen in the other order).  Returns the
+    number of edges the collapse kept."""
+    full = reduced_homology(flag_from_graph(vertices, edges))
+    core = collapse_dominated_edges(vertices, edges)
+    flip = {v: -v for v in vertices}
+    flipped = collapse_dominated_edges(
+        flip.values(), [(flip[a], flip[b]) for a, b in edges])
+    profiles = [full, reduced_homology(flag_from_graph(vertices, core)),
+                reduced_homology(flag_from_graph(flip.values(), flipped))]
+    length = max(len(p.betti) for p in profiles)
+    want = padded_homology(full, length)
+    for p in profiles[1:]:
+        assert padded_homology(p, length) == want
+    assert set(core) <= {tuple(sorted(e)) for e in edges}
+    return len(core)
+
+
+def random_graph(rng, n, p):
+    return [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+
+
+class TestCollapseDominatedEdges:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_graphs_keep_homology(self, seed):
+        rng = random.Random(3000 + seed)
+        n = rng.randint(1, 11)
+        edges = random_graph(rng, n, rng.random())
+        assert_collapse_keeps_homology(range(n), edges)
+
+    def test_collapses_remove_edges(self):
+        rng = random.Random(31)
+        kept = total = 0
+        for _ in range(20):
+            edges = random_graph(rng, 10, 0.6)
+            kept += assert_collapse_keeps_homology(range(10), edges)
+            total += len(edges)
+        assert kept < total // 2
+        # a complete graph is a simplex: it collapses to a tree
+        assert len(collapse_dominated_edges(range(7), combinations(range(7), 2))) == 6
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_cone_is_contractible(self, seed):
+        rng = random.Random(4000 + seed)
+        n = rng.randint(2, 9)
+        edges = random_graph(rng, n, 0.5) + [(v, n) for v in range(n)]
+        profile = reduced_homology(flag_from_graph(range(n + 1), edges))
+        assert set(profile.betti) == {0} and all(t == () for t in profile.torsion)
+        assert_collapse_keeps_homology(range(n + 1), edges)
+
+    def test_keeps_torsion(self):
+        # the projective plane is not flag; its barycentric subdivision is,
+        # and its Z/2 must survive the collapse
+        faces = {s for f in PROJECTIVE_PLANE for k in (1, 2, 3)
+                 for s in combinations(f, k)}
+        edges = [(a, b) for a in faces for b in faces
+                 if len(a) < len(b) and set(a) < set(b)]
+        labels = {f: i for i, f in enumerate(sorted(faces))}
+        graph = [(labels[a], labels[b]) for a, b in edges]
+        core = collapse_dominated_edges(range(len(faces)), graph)
+        profile = reduced_homology(flag_from_graph(range(len(faces)), core))
+        assert profile.torsion[1] == (2,)
+        assert_collapse_keeps_homology(range(len(faces)), graph)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_triangle_free_graphs_keep_every_edge(self, seed):
+        rng = random.Random(5000 + seed)
+        n = rng.randint(4, 12)
+        cycle = [(v, (v + 1) % n) for v in range(n)]
+        bipartite = [(a, b) for a in range(0, n, 2) for b in range(1, n, 2)
+                     if rng.random() < 0.6]
+        for edges in (cycle, bipartite):
+            want = {tuple(sorted(e)) for e in edges}
+            assert set(collapse_dominated_edges(range(n), edges)) == want
+
+    @pytest.mark.parametrize("genus", [3, 4])
+    def test_interval_spheres_keep_every_edge(self, genus):
+        # the link of an edge of a flag sphere is a sphere, never a cone
+        build = build_complex(chain_surface(genus))
+        vertices = range(len(build.vertices))
+        assert collapse_dominated_edges(vertices, build.edges) == build.edges
+
+    def test_rejects_an_edge_outside_the_vertices(self):
+        with pytest.raises(DomainError):
+            collapse_dominated_edges(range(3), [(0, 5)])
 
 
 class TestPseudomanifold:

@@ -3,7 +3,8 @@
 Standard library random only, with fixed seeds, so every run checks the
 same 2,000 freely reduced words at genus 2..4, the same vertex pairs, the
 same powers of random primitive roots and the same root pairs against the
-ray-by-ray crossing count.
+ray-by-ray crossing count.  The simplicity test is checked exhaustively
+instead, on every class that dies on a side at the brute-force sizes.
 """
 
 import random
@@ -19,11 +20,14 @@ from diskcomplex import (
     dies_on,
     geometric_intersection,
     inverse,
+    is_simple,
     sample_gamma,
     self_intersection,
 )
+from diskcomplex.sampler import _dying_classes
 from diskcomplex.words import _crossing_configurations, _linked_configurations
 from oracles import canonical_class, crossings_by_rays
+from test_sampler import BRUTE
 
 WORDS = 2000
 
@@ -190,3 +194,29 @@ class TestCrossingCountAgainstRays:
                 assert len(linked) == crossings_by_rays(order, u, v), (u, v)
                 assert len(set(linked)) == len(linked)
                 assert all(0 <= i < len(u) and 0 <= j < len(v) for i, j in linked)
+
+
+class TestSimplicityAgainstTheExactCount:
+    """is_simple stops at the first linked configuration, so the sampler no
+    longer counts the self-crossings of the classes it rejects.  Here every
+    class that dies on a side at the BRUTE sizes gets the exact count, whose
+    "must pair up" parity check runs on each, and is_simple must agree."""
+
+    def test_every_dying_class(self):
+        seen = {"simple": 0, "crossing": 0, "power": 0, "power of simple": 0}
+        for genus, budget in BRUTE:
+            surface = chain_surface(genus)
+            for word in _dying_classes(2 * genus, budget):
+                c = CurveClass(word)
+                si = self_intersection(surface, c)
+                simple = is_simple(surface, c)
+                assert simple == (si == 0), c
+                root, k = c.root_and_power()
+                if k > 1:
+                    assert not simple, c
+                    seen["power"] += 1
+                    seen["power of simple"] += is_simple(surface, root)
+                else:
+                    seen["simple" if simple else "crossing"] += 1
+        # each branch of the helper is reached, powers of simple roots too
+        assert min(seen.values()) > 10, seen

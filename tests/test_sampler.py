@@ -9,16 +9,21 @@ from diskcomplex import (
     CurveClass,
     CurveError,
     Side,
+    algebraic_intersection,
+    bbm_vertices,
     bounds_disk_sides,
     chain_surface,
     connectivity_probe,
     geometric_intersection,
     max_simplex_probe,
+    reduced_homology,
     sample_gamma,
 )
+import diskcomplex.intervals as intervals
 from diskcomplex.intervals import disjointness_complex
 from diskcomplex.sampler import _dying_classes
 from oracles import canonical_class, dies_on_side, reduced_words
+from test_complexes import assert_collapse_keeps_homology
 
 # (genus, budget) pairs small enough to enumerate every reduced word
 BRUTE = [(2, L) for L in range(1, 6)] + [(3, L) for L in range(1, 5)] + [
@@ -167,6 +172,48 @@ class TestEdgesAgainstTheFullCount:
         assert (0, 1) in want and (2, 3) not in want
 
 
+class TestAlgebraicPrefilter:
+    """disjointness_complex skips the crossing scan of a pair whose homology
+    classes pair to a nonzero number; every pair it skips must cross."""
+
+    def skipped_pairs(self, monkeypatch, surface, classes):
+        scanned = set()
+        scan = intervals._linked_configurations
+
+        def spy(order, u, v):
+            scanned.add((u, v))
+            return scan(order, u, v)
+
+        monkeypatch.setattr(intervals, "_linked_configurations", spy)
+        disjointness_complex(surface, classes)
+        monkeypatch.undo()
+        # sampled and interval classes are simple, so each is its own root
+        return [
+            (u, v) for a, u in enumerate(classes) for v in classes[a + 1:]
+            if (u.letters, v.letters) not in scanned
+        ]
+
+    @pytest.mark.parametrize("genus, budget", [(2, 5), (3, 4)])
+    def test_sampled_pairs(self, monkeypatch, genus, budget):
+        surface = chain_surface(genus)
+        skipped = self.skipped_pairs(
+            monkeypatch, surface, sample_gamma(surface, budget).vertices)
+        assert len(skipped) > 100
+        for u, v in skipped:
+            assert algebraic_intersection(surface, u, v) != 0
+            assert geometric_intersection(surface, u, v) > 0
+
+    @pytest.mark.parametrize("genus", [2, 3, 4])
+    def test_interval_pairs(self, monkeypatch, genus):
+        surface = chain_surface(genus)
+        curves = [v.curve for v in bbm_vertices(surface)[0]]
+        skipped = self.skipped_pairs(monkeypatch, surface, curves)
+        assert skipped
+        for u, v in skipped:
+            assert algebraic_intersection(surface, u, v) != 0
+            assert geometric_intersection(surface, u, v) > 0
+
+
 class TestMaxSimplexProbe:
     def test_cores_alone_reach_dimension_one(self, chain2):
         assert max_simplex_probe(sample_gamma(chain2, 1)) == 1
@@ -204,3 +251,23 @@ class TestConnectivityProbe:
         probe = connectivity_probe(sample_gamma(chain2, 2))
         assert not probe.conclusive
         assert "sample" in probe.note
+
+
+class TestCollapsedProbe:
+    """connectivity_probe reads its Betti numbers off the flag complex of
+    the graph left by collapse_dominated_edges."""
+
+    @pytest.mark.parametrize("genus, budget", BRUTE)
+    def test_core_has_the_sample_homology(self, genus, budget):
+        # in the vertex order and in its reverse
+        s = sample_gamma(chain_surface(genus), budget)
+        assert_collapse_keeps_homology(range(len(s.vertices)), s.edges)
+
+    @pytest.mark.parametrize("genus, budget, cap", [
+        (2, 6, 10**6), (3, 5, 10**6), (3, 6, 10**7)])
+    def test_probe_reads_the_full_homology(self, genus, budget, cap):
+        s = sample_gamma(chain_surface(genus), budget, cap=cap)
+        probe = connectivity_probe(s)
+        full = reduced_homology(s.complex)
+        assert (probe.betti0, probe.betti1) == full.betti[:2]
+        assert full.torsion[:2] == ((), ())
