@@ -106,13 +106,6 @@ class SimplicialComplex:
         faces = self.faces_by_dim()
         return tuple(len(faces[k]) for k in range(self.dimension + 1))
 
-    @property
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * n for k, n in enumerate(self.f_vector()))
-
-    def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) == 1
-
 
 def _bits(mask: int):
     """Indices of the set bits of mask, lowest first."""
@@ -229,8 +222,13 @@ def _to_sparse(matrix):
 
 
 def _chain_divisors(values) -> tuple:
-    """Straighten a diagonal into a divisibility chain d1 | d2 | ..."""
-    d = sorted(abs(v) for v in values)
+    """Straighten a diagonal into a divisibility chain d1 | d2 | ...
+
+    Units divide every entry and no exchange changes them, so they are
+    set aside first and the gcd/lcm exchanges run on the rest.
+    """
+    d = sorted(a for a in map(abs, values) if a != 1)
+    units = len(values) - len(d)
     changed = True
     while changed:
         changed = False
@@ -241,7 +239,7 @@ def _chain_divisors(values) -> tuple:
                     d[i], d[j] = g, d[i] * d[j] // g
                     changed = True
         d.sort()
-    return tuple(d)
+    return (1,) * units + tuple(d)
 
 
 def smith_normal_form(matrix) -> tuple:
@@ -377,12 +375,15 @@ def _remove_pairs(boundary) -> list:
     """Live flags of the cells left after greedily removing pairs.
 
     A cell with one live face goes with that face, and a cell with one
-    live coface goes with that coface.  Counts only fall, so a cell joins
-    the queue when one of its counts falls to 1; a sweep over all cells
-    fills the queue at the start and whenever it runs dry, and the search
-    ends when a sweep finds nothing.  The first sweep queues every vertex,
-    so the first pair is cell 1 with the empty face, and the search
-    spreads breadth first from there.
+    live coface goes with that coface.  The queue starts with every cell
+    that has a count of 1, and a cell joins it again whenever one of its
+    counts falls to 1.  Counts only fall, so a live cell left with a
+    count of 1 when the queue runs dry was queued at the start or when
+    that count last fell, and was paired when it was taken: so the
+    search ends when the queue runs dry.  Each vertex
+    has one face, the empty face, so the vertices lead the queue and the
+    first pair is cell 1 with the empty face; the search spreads breadth
+    first from there.
     """
     coboundary = [[] for _ in boundary]
     for c, faces in enumerate(boundary):
@@ -391,36 +392,32 @@ def _remove_pairs(boundary) -> list:
     live = [True] * len(boundary)
     nfaces = [len(b) for b in boundary]
     ncofaces = [len(c) for c in coboundary]
-    queue = deque()
-    while True:
-        queue.extend(
-            c for c, alive in enumerate(live)
-            if alive and (nfaces[c] == 1 or ncofaces[c] == 1)
-        )
-        if not queue:
-            return live
-        while queue:
-            c = queue.popleft()
-            if not live[c]:
-                continue
-            if nfaces[c] == 1:
-                other = next(y for y in boundary[c] if live[y])
-            elif ncofaces[c] == 1:
-                other = next(z for z in coboundary[c] if live[z])
-            else:
-                continue
-            for x in (c, other):
-                live[x] = False
-                for y in boundary[x]:
-                    if live[y]:
-                        ncofaces[y] -= 1
-                        if ncofaces[y] == 1:
-                            queue.append(y)
-                for z in coboundary[x]:
-                    if live[z]:
-                        nfaces[z] -= 1
-                        if nfaces[z] == 1:
-                            queue.append(z)
+    queue = deque(
+        c for c in range(len(boundary)) if nfaces[c] == 1 or ncofaces[c] == 1
+    )
+    while queue:
+        c = queue.popleft()
+        if not live[c]:
+            continue
+        if nfaces[c] == 1:
+            other = next(y for y in boundary[c] if live[y])
+        elif ncofaces[c] == 1:
+            other = next(z for z in coboundary[c] if live[z])
+        else:
+            continue
+        for x in (c, other):
+            live[x] = False
+            for y in boundary[x]:
+                if live[y]:
+                    ncofaces[y] -= 1
+                    if ncofaces[y] == 1:
+                        queue.append(y)
+            for z in coboundary[x]:
+                if live[z]:
+                    nfaces[z] -= 1
+                    if nfaces[z] == 1:
+                        queue.append(z)
+    return live
 
 
 def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:

@@ -18,19 +18,19 @@ ambiguity flag; the sphere certificate downstream is the arbiter that the
 convention is coherent.
 
 The interval complex is the flag complex on the disjointness graph of the
-chosen classes: edges where the geometric intersection number vanishes.
+chosen classes: edges where the geometric intersection number vanishes,
+as decided by words.disjoint_pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .complexes import SimplicialComplex, flag_from_graph
 from .errors import InternalInvariantError, IntervalError
 from .handles import Side, bounds_disk_sides
 from .ribbon import ChainSurface
-from .words import CurveClass, _linked_configurations, abelianized, is_essential
+from .words import CurveClass, disjoint_pairs, is_essential
 
 
 @dataclass(frozen=True)
@@ -186,48 +186,14 @@ class IntervalComplexBuild:
     complex: SimplicialComplex
 
 
-def disjointness_complex(surface: ChainSurface, classes) -> tuple:
-    """Disjointness graph of a sequence of classes and its flag complex.
-
-    Returns (edges, complex): edges are the index pairs (a, b), a < b,
-    whose classes have geometric intersection 0.  Since i(u, v) is at
-    least |algebraic_intersection(u, v)|, a pair whose homology classes
-    pair to a nonzero number is no edge.  Each class's abelianised vector
-    and its image under the intersection form are computed once, so that
-    test is one dot product per pair, and only the pairs it passes go to
-    the crossing scan.  Each class is reduced to its primitive root once,
-    not once per pair.  For classes r^a and s^b, i = ab times the linked
-    configurations of r and s, with a, b >= 1, so the pair is disjoint
-    exactly when r and s have no linked configuration, and the scan stops
-    at the first one it finds.
-    """
-    order = surface.rose_order
-    omega = surface.homological_pairing()
-    curves = [CurveClass.coerce(c, order.rank) for c in classes]
-    roots = [c.root_and_power()[0].letters for c in curves]
-    vectors = [abelianized(c.letters, order.rank) for c in curves]
-    images = [
-        tuple(sum(map(mul, a, column)) for column in zip(*omega))
-        for a in vectors
-    ]
-    edges = tuple(
-        (a, b)
-        for a in range(len(roots))
-        for b in range(a + 1, len(roots))
-        if not sum(map(mul, images[a], vectors[b]))
-        and not any(_linked_configurations(order, roots[a], roots[b]))
-    )
-    return edges, flag_from_graph(range(len(classes)), edges)
-
-
 def build_complex(surface: ChainSurface) -> IntervalComplexBuild:
     """Flag complex on the disjointness graph of the interval classes."""
     vertices, choices = bbm_vertices(surface)
-    edges, complex_ = disjointness_complex(surface, [v.curve for v in vertices])
+    edges = disjoint_pairs(surface, [v.curve for v in vertices])
     return IntervalComplexBuild(
         surface=surface,
         vertices=tuple(vertices),
         odd_choices=tuple(choices),
         edges=edges,
-        complex=complex_,
+        complex=flag_from_graph(range(len(vertices)), edges),
     )

@@ -183,11 +183,6 @@ class RibbonGraph:
             out.append(RibbonGraph(tuple(cycles), rev))
         return out
 
-    def relabeled(self, mapping) -> "RibbonGraph":
-        rot = tuple(tuple(mapping[d] for d in cycle) for cycle in self.rot)
-        rev = tuple((mapping[a], mapping[b]) for a, b in self.rev)
-        return RibbonGraph(rot, rev)
-
 
 # ----------------------------------------------------------- chain model
 
@@ -321,19 +316,17 @@ def chain_surface(genus: int) -> ChainSurface:
     if 0 in order_letters:
         raise InternalInvariantError("tree darts survived contraction")
 
-    surface = ChainSurface(
+    boundary_word = cyclic_reduce(
+        tuple(l for l in (letters[d] for d in boundary_walk) if l)
+    )
+    return ChainSurface(
         genus=genus,
         graph=graph,
         letters=letters,
         labels=labels,
         core_walks=tuple(core_walks),
         boundary_walk=boundary_walk,
-        boundary_word=cyclic_reduce(
-            tuple(l for l in (letters[d] for d in boundary_walk) if l)
-        ),
-        boundary_class=CurveClass.from_letters(
-            tuple(l for l in (letters[d] for d in boundary_walk) if l)
-        ),
+        boundary_word=boundary_word,
+        boundary_class=CurveClass.from_letters(boundary_word),
         rose_order=CyclicOrder(order_letters),
     )
-    return surface

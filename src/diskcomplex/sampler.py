@@ -3,7 +3,8 @@
 The full complex of disk-bounding curve classes is infinite, so finite
 experiments take all classes up to a word length budget that bound a
 disk on at least one side, and build the flag complex of the
-disjointness graph on the sample.  Only the classes that die on a side
+disjointness graph on the sample, whose edges words.disjoint_pairs
+decides.  Only the classes that die on a side
 are generated: the class search keeps each side's surviving letters
 freely reduced and prunes a prefix once both stacks are longer than the
 number of letters still allowed, because a suffix of k letters cancels
@@ -38,9 +39,8 @@ from .complexes import (
 )
 from .errors import BudgetError, CurveError, DomainError, InternalInvariantError
 from .handles import bounds_disk_sides
-from .intervals import disjointness_complex
 from .ribbon import ChainSurface
-from .words import CurveClass, key_letter
+from .words import CurveClass, disjoint_pairs, key_letter
 
 
 def _dying_classes(rank: int, max_len: int):
@@ -155,14 +155,14 @@ def sample_gamma(
         verts[c] = sides
 
     ordered = tuple(sorted(verts, key=lambda c: c.shortlex()))
-    edges, complex_ = disjointness_complex(surface, ordered)
+    edges = disjoint_pairs(surface, ordered)
     return GammaSample(
         surface=surface,
         max_length=budget,
         vertices=ordered,
         sides=tuple(verts[c] for c in ordered),
         edges=edges,
-        complex=complex_,
+        complex=flag_from_graph(range(len(ordered)), edges),
         n_enumerated=count,
     )
 

@@ -60,21 +60,29 @@ twice the self-intersection number SI(u).
 The linked configurations come from one generator.  Counts (pairwise
 intersection, self-intersection and its parity check) sum all of them,
 so they stay exact.  The two yes-or-no tests only ask whether there is
-one, and stop at the first: the edge test i == 0 of the disjointness
-graph, and the simplicity test is_simple, which by the power formula
-below asks for a primitive class whose root is not linked with itself.
+one, and stop at the first: the edge test i == 0 of disjoint_pairs, and
+the simplicity test is_simple, which by the power formula below asks
+for a primitive class whose root is not linked with itself.
 
 Non-primitive classes are handled by the power formulas: the count for
 r^a, s^b is ab times the count for their primitive roots r, s.  With
 distinct roots that is ab i(r, s); with one root it is 2ab SI(r), the
 crossings of the parallel axes of distinct classes r^a, r^b.  Finally
 SI(r^k) = k^2 SI(r) + (k - 1).
+
+Disjointness.  The disk complex is the flag complex of the relation
+i(u, v) = 0, and disjoint_pairs decides it for every pair of a list of
+classes.  Since a, b >= 1, i(r^a, s^b) = 0 exactly when the roots r, s
+have no linked configuration.  And i(u, v) >= |algebraic_intersection(u,
+v)|, the homological intersection pairing, so a pair that pairs to a
+nonzero number is decided without a scan.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import CurveError, InternalInvariantError, TrivialWordError
 
@@ -223,10 +231,6 @@ class CurveClass:
                 return CurveClass(w[:p]), n // p
         return self, 1
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.root_and_power()[1] == 1
-
 
 # ----------------------------------------------------------- cyclic order
 
@@ -298,17 +302,6 @@ def _linked_configurations(order, u, v):
                 yield s, j
 
 
-def _crossing_configurations(order, u, v) -> int:
-    return sum(1 for _ in _linked_configurations(order, u, v))
-
-
-def _self_primitive(order: CyclicOrder, u: Word) -> int:
-    total = _crossing_configurations(order, u, u)
-    if total % 2:
-        raise InternalInvariantError("self-crossing configurations must pair up")
-    return total // 2
-
-
 # ------------------------------------------------------------- public api
 
 
@@ -319,23 +312,19 @@ def geometric_intersection(surface, u, v) -> int:
     CurveClass, letter tuples, or token strings.
     """
     order = surface.rose_order
-    return _root_intersection(
-        order,
-        CurveClass.coerce(u, order.rank).root_and_power(),
-        CurveClass.coerce(v, order.rank).root_and_power(),
-    )
-
-
-def _root_intersection(order: CyclicOrder, u, v) -> int:
-    """geometric_intersection of two classes given as (root, power) pairs."""
-    (ru, ku), (rv, kv) = u, v
-    return ku * kv * _crossing_configurations(order, ru.letters, rv.letters)
+    (ru, ku), (rv, kv) = (
+        CurveClass.coerce(c, order.rank).root_and_power() for c in (u, v))
+    return ku * kv * sum(
+        1 for _ in _linked_configurations(order, ru.letters, rv.letters))
 
 
 def self_intersection(surface, u) -> int:
     order = surface.rose_order
     root, k = CurveClass.coerce(u, order.rank).root_and_power()
-    return k * k * _self_primitive(order, root.letters) + (k - 1)
+    total = sum(1 for _ in _linked_configurations(order, root.letters, root.letters))
+    if total % 2:
+        raise InternalInvariantError("self-crossing configurations must pair up")
+    return k * k * (total // 2) + (k - 1)
 
 
 def is_simple(surface, u) -> bool:
@@ -366,10 +355,45 @@ def abelianized(word, rank: int) -> tuple:
     return tuple(image)
 
 
+def _pairing(surface, curves) -> tuple:
+    """Abelianised vectors of the classes and their images under the form.
+
+    The algebraic intersection of curves a and b is the dot product of
+    images[a] with vectors[b].
+    """
+    omega = surface.homological_pairing()
+    vectors = [abelianized(c.letters, len(omega)) for c in curves]
+    images = [
+        tuple(sum(map(mul, a, column)) for column in zip(*omega))
+        for a in vectors
+    ]
+    return vectors, images
+
+
 def algebraic_intersection(surface, u, v) -> int:
     """Homological intersection pairing of two classes, sign included."""
-    omega = surface.homological_pairing()
-    rank = len(omega)
-    a = abelianized(CurveClass.coerce(u, rank).letters, rank)
-    b = abelianized(CurveClass.coerce(v, rank).letters, rank)
-    return sum(a[i] * omega[i][j] * b[j] for i in range(rank) for j in range(rank))
+    rank = surface.rose_order.rank
+    vectors, images = _pairing(surface, [CurveClass.coerce(c, rank) for c in (u, v)])
+    return sum(map(mul, images[0], vectors[1]))
+
+
+def disjoint_pairs(surface, classes) -> tuple:
+    """Index pairs (a, b), a < b, whose classes have geometric intersection 0.
+
+    Each class is reduced to its primitive root once, and its vector and
+    image under the intersection form are computed once, so the
+    algebraic test is one dot product per pair.  Only the pairs it
+    passes go to the crossing scan of their roots, which stops at the
+    first linked configuration.
+    """
+    order = surface.rose_order
+    curves = [CurveClass.coerce(c, order.rank) for c in classes]
+    roots = [c.root_and_power()[0].letters for c in curves]
+    vectors, images = _pairing(surface, curves)
+    return tuple(
+        (a, b)
+        for a in range(len(roots))
+        for b in range(a + 1, len(roots))
+        if not sum(map(mul, images[a], vectors[b]))
+        and not any(_linked_configurations(order, roots[a], roots[b]))
+    )

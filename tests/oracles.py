@@ -31,7 +31,7 @@ two is evidence rather than tautology.
   oriented at the vertex where two of its rays part, whichever two those
   are.  It reads all three divergences of every triple instead of
   leaning on what pinning implies about two of them, so it referees the
-  branch-point reading in words._crossing_configurations.
+  branch-point reading in words._linked_configurations.
 
 * Free group words by brute force: every freely reduced word up to a
   length, and the canonical class of a word as the least key sequence over

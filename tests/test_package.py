@@ -65,3 +65,19 @@ def test_every_private_helper_is_named_outside_its_definition():
         and node.name.startswith("_") and not named[node.name]
     ]
     assert unused == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a private helper stays private to its module: a caller elsewhere in
+    # the package gets a public name, or the helper moves to the caller;
+    # dunder names such as __version__ are public
+    imports = [
+        f"{path.name}: {alias.name}"
+        for path in Path(diskcomplex.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("diskcomplex"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert sorted(imports) == []

@@ -25,11 +25,15 @@ from diskcomplex import (
     self_intersection,
 )
 from diskcomplex.sampler import _dying_classes
-from diskcomplex.words import _crossing_configurations, _linked_configurations
+from diskcomplex.words import _linked_configurations
 from oracles import canonical_class, crossings_by_rays
 from test_sampler import BRUTE
 
 WORDS = 2000
+
+
+def crossing_configurations(order, u, v):
+    return sum(1 for _ in _linked_configurations(order, u, v))
 
 
 def random_reduced_word(rng, rank, max_len=10):
@@ -171,7 +175,7 @@ class TestCrossingCountAgainstRays:
     def test_distinct_pairs(self, roots):
         crossed = 0
         for order, r, s in roots:
-            got = _crossing_configurations(order, r, s)
+            got = crossing_configurations(order, r, s)
             assert got == crossings_by_rays(order, r, s), (r, s)
             crossed += got > 0
         assert crossed > ORACLE_PAIRS // 4
@@ -180,7 +184,7 @@ class TestCrossingCountAgainstRays:
         crossed = 0
         for order, r, s in roots:
             for w in (r, s):
-                got = _crossing_configurations(order, w, w)
+                got = crossing_configurations(order, w, w)
                 assert got == crossings_by_rays(order, w, w), w
                 crossed += got > 0
         assert crossed > ORACLE_PAIRS // 4

@@ -1,7 +1,5 @@
 """Ribbon graph mechanics and the chain surface model."""
 
-import random
-
 import pytest
 
 from diskcomplex import (
@@ -10,7 +8,6 @@ from diskcomplex import (
     HypothesisError,
     RibbonGraph,
     chain_surface,
-    normalize_walk,
 )
 
 
@@ -118,19 +115,6 @@ class TestChainSurface:
         from diskcomplex.words import abelianized
 
         assert abelianized(chain2.boundary_word, 4) == (0, 0, 0, 0)
-
-    def test_relabeling_preserves_boundary_structure(self, chain2):
-        rng = random.Random(17)
-        darts = sorted(chain2.graph.darts)
-        images = list(range(100, 100 + len(darts)))
-        rng.shuffle(images)
-        mapping = dict(zip(darts, images))
-        relabeled = chain2.graph.relabeled(mapping)
-        assert relabeled.genus == chain2.graph.genus
-        assert relabeled.n_boundaries == 1
-        walk = chain2.boundary_walk
-        image_walk = normalize_walk(tuple(mapping[d] for d in walk))
-        assert image_walk in relabeled.boundary_walks()
 
     def test_rose_order_independent_of_contraction_order(self, chain3):
         ids = {name: d for d, name in chain3.labels.items()}

@@ -19,8 +19,8 @@ from diskcomplex import (
     reduced_homology,
     sample_gamma,
 )
-import diskcomplex.intervals as intervals
-from diskcomplex.intervals import disjointness_complex
+import diskcomplex.words as words
+from diskcomplex.words import disjoint_pairs
 from diskcomplex.sampler import _dying_classes
 from oracles import canonical_class, dies_on_side, reduced_words
 from test_complexes import assert_collapse_keeps_homology
@@ -143,14 +143,14 @@ class TestClassEnumeration:
 
 
 class TestEdgesAgainstTheFullCount:
-    """disjointness_complex stops at the first linked configuration of two
+    """disjoint_pairs stops at the first linked configuration of two
     roots; its edges are the pairs whose full intersection count is 0."""
 
     @pytest.mark.parametrize("genus, budget", [(2, 5), (3, 4)])
     def test_every_sampled_pair(self, genus, budget):
         surface = chain_surface(genus)
         verts = sample_gamma(surface, budget).vertices
-        edges, _ = disjointness_complex(surface, verts)
+        edges = disjoint_pairs(surface, verts)
         pairs = [(a, b) for a in range(len(verts)) for b in range(a + 1, len(verts))]
         want = {
             (a, b) for a, b in pairs
@@ -163,7 +163,7 @@ class TestEdgesAgainstTheFullCount:
         # g1 g3 g2 has self-intersection 2, so it crosses its square 8 times
         # while g1 misses g1 g1
         family = classes((1,), (1, 1), (1, 3, 2), (1, 3, 2) * 2, (2,), (1, 2, -1, -2))
-        edges, _ = disjointness_complex(chain2, family)
+        edges = disjoint_pairs(chain2, family)
         want = {
             (a, b) for a in range(len(family)) for b in range(a + 1, len(family))
             if geometric_intersection(chain2, family[a], family[b]) == 0
@@ -173,19 +173,19 @@ class TestEdgesAgainstTheFullCount:
 
 
 class TestAlgebraicPrefilter:
-    """disjointness_complex skips the crossing scan of a pair whose homology
+    """disjoint_pairs skips the crossing scan of a pair whose homology
     classes pair to a nonzero number; every pair it skips must cross."""
 
     def skipped_pairs(self, monkeypatch, surface, classes):
         scanned = set()
-        scan = intervals._linked_configurations
+        scan = words._linked_configurations
 
         def spy(order, u, v):
             scanned.add((u, v))
             return scan(order, u, v)
 
-        monkeypatch.setattr(intervals, "_linked_configurations", spy)
-        disjointness_complex(surface, classes)
+        monkeypatch.setattr(words, "_linked_configurations", spy)
+        disjoint_pairs(surface, classes)
         monkeypatch.undo()
         # sampled and interval classes are simple, so each is its own root
         return [
