@@ -1,16 +1,26 @@
 """Finite simplicial complexes with exact integer homology.
 
-Complexes are stored by their facets over int vertex ids, and
-SimplicialComplex.faces_by_dim is the one place their faces are
-enumerated: the f-vector and the cells of the homology both come from
-it.  Homology is reduced: the chain complex is augmented by the empty
-face in degree -1, and it is always computed in every degree, so a probe
-of low degrees runs the same computation as the sphere certificate.
-All arithmetic uses Python ints, so there is no overflow to detect:
-intermediate entries grow as needed.
+Complexes are stored by their facets over int vertex ids.
+SimplicialComplex.faces_by_dim enumerates every face, for f_vector();
+the homology builds only the faces it must.  Homology is reduced and
+always computed in every degree, so a probe of low degrees runs the same
+computation as the sphere certificate.  All arithmetic uses Python ints,
+so there is no overflow to detect: intermediate entries grow as needed.
 
-reduced_homology first removes cell pairs, then takes a Smith normal form
-of what is left.  A pair is a cell with exactly one live face, taken with
+reduced_homology computes the homology of the pair (K, A), where A is an
+acyclic subcomplex (Mrozek, Pilarczyk and Zelazna, Comput. Math. Appl.
+2008): by the long exact sequence of the pair, H(K, A) is the reduced
+homology of K.  A is grown over the facets in lexicographic order: a
+facet joins when it meets A in a union of its ridges that is a cone, the
+shelling step of Bjorner and Danaraj-Klee, so A stays acyclic by
+Mayer-Vietoris.  The faces A gains are counted by binomials and never
+built.  On the interval spheres A takes every facet but one, at g = 2..5,
+so the relative chain complex has a single cell.  The cells are the
+faces outside A, each with its boundary restricted to the faces outside
+A and its incidences taken from the full boundary.
+
+The relative cells then lose pairs, and a Smith normal form is taken of
+what is left.  A pair is a cell with exactly one live face, taken with
 that face (a coreduction, Mrozek-Batko, DCG 2009), or a face with exactly
 one live coface, taken with that coface (a reduction).  Simplicial
 incidences are +-1, so every pair is joined by a unit, and eliminating
@@ -18,21 +28,18 @@ it changes the other boundaries by a multiple of the pair's own boundary
 (Kaczynski-Mrozek-Slusarek, 1998).  For these two kinds of pair that
 multiple is zero on every live cell: the remaining boundaries are merely
 restricted to the live cells, and homology over Z, torsion included, is
-unchanged.  The search starts at the first vertex, whose only face is
-the empty face, and spreads breadth first.  On the interval spheres it
-leaves a single top cell.
+unchanged.
 
 The Smith form sees only the cells the pair removals leave: none on the
-interval spheres at g = 2..5, 22 nonzeros on the g = 2, L = 6 sample,
-241 (rank 93) on g = 3, L = 5 and 847 (rank 301) on g = 3, L = 6.  So it
-is plain elimination: the pivot is the smallest nonzero entry, its row
-and column are cleared by Euclidean steps, and the collected diagonal is
-straightened into a divisibility chain by gcd/lcm exchanges (each
-realized by unimodular operations on a 2x2 block, so the invariant
-factors are unchanged).  Among entries of equal size the pivot is the
-one whose row and column are shortest: this keeps the fill low, and with
-it the units, whose loss makes the entries of the remaining rows grow
-with each pivot.
+interval spheres at g = 2..5, whose one cell has no boundary, 54 cells
+on the g = 3, L = 5 sample and 294 on g = 3, L = 6.  So it is plain elimination: the pivot is the smallest
+nonzero entry, its row and column are cleared by Euclidean steps, and
+the collected diagonal is straightened into a divisibility chain by
+gcd/lcm exchanges (each realized by unimodular operations on a 2x2
+block, so the invariant factors are unchanged).  Among entries of equal
+size the pivot is the one whose row and column are shortest: this keeps
+the fill low, and with it the units, whose loss makes the entries of the
+remaining rows grow with each pivot.
 
 A flag complex can be shrunk before any face is built.
 collapse_dominated_edges removes the edges of a graph that are dominated
@@ -44,13 +51,14 @@ it keeps 1,027 of the 7,253 cells at g = 3, L = 5.  The sphere
 certificate does not: no edge of an interval sphere is dominated, since
 the link of an edge of a flag sphere is a sphere and never a cone.
 """
-
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import gcd
+from functools import reduce
+from itertools import combinations, compress
+from math import comb, gcd
+from operator import and_
 
 from .errors import DomainError
 
@@ -327,14 +335,16 @@ def smith_normal_form(matrix) -> tuple:
 class HomologyProfile:
     """Reduced integer homology: Betti numbers and torsion per degree.
 
-    cells is the f-vector, and leftover counts per degree the cells that
-    outlived the pair removals and went to the Smith form.  cells and
-    leftover describe the computation, not the homology, so they take no
-    part in comparisons.
+    cells is the f-vector.  acyclic is the number of facets in the
+    acyclic subcomplex A, and leftover counts per degree the cells of the
+    pair (K, A), the faces outside A, that outlived the pair removals and
+    went to the Smith form.  cells, acyclic and leftover describe the
+    computation, not the homology, so they take no part in comparisons.
     """
 
     betti: tuple  # reduced Betti numbers, degrees 0..dim
     torsion: tuple  # per degree, tuple of invariant factors > 1
+    acyclic: int = field(compare=False)
     leftover: tuple = field(compare=False)
     cells: tuple = field(compare=False)
 
@@ -348,27 +358,95 @@ class HomologyProfile:
         )
 
 
-def _augmented_boundaries(complex_: SimplicialComplex):
-    """Boundaries of the empty face and of every face of the complex.
+def _acyclic_subcomplex(facets) -> tuple:
+    """An acyclic subcomplex A, grown over the facets in their order.
 
-    Cells are numbered by dimension, then lexicographically: cell 0 is
-    the empty face and cell 1 the first vertex.  boundary[c] lists the
-    faces of c in lexicographic order, so for a k-cell c its i-th entry
-    omits vertex k - i and has incidence (-1) ** (k - i).  starts[k + 1]
-    is the first cell of dimension k, and starts[-1] the number of cells.
+    The first facet joins A.  A later facet F is restricted to A by R,
+    the set of v in F whose ridge F - v lies in an A-facet, and it joins
+    when 0 < |R| < |F| and no A-facet contains R.  Then a face of F lies
+    in A exactly when it misses a vertex of R, so F & A is the union of
+    the ridges F - v (v in R): a cone over any vertex of F - R.  By
+    Mayer-Vietoris A | F is acyclic when A is.  This is the shelling step
+    of Bjorner and Danaraj-Klee, used to grow the acyclic subspace of
+    Mrozek, Pilarczyk and Zelazna (Comput. Math. Appl. 2008).  The faces
+    F adds are those of the interval [R, F], so they are counted by
+    binomials and never built.
+
+    Returns the flags of the facets in A, A's vertex stars as int
+    bitmasks over facet indices, and A's face counts by size, the empty
+    face included.
     """
-    index = {(): 0}
-    starts = [0]
-    for layer in complex_.faces_by_dim().values():
-        starts.append(len(index))
-        index.update((f, i) for i, f in enumerate(layer, len(index)))
-    starts.append(len(index))
-    lookup = index.__getitem__
-    boundary = [
-        tuple(map(lookup, combinations(f, len(f) - 1))) if f else ()
-        for f in index
-    ]
-    return boundary, starts
+    star: dict = {}
+    inside = [False] * len(facets)
+    sizes = [0] * (max(map(len, facets)) + 1)
+    for i, f in enumerate(facets):
+        if i:
+            stars = [star.get(v, 0) for v in f]
+            # before[j] & after: the A-facets that contain the ridge f - f[j]
+            before = [-1]
+            for s in stars:
+                before.append(before[-1] & s)
+            after, r = -1, []
+            for j in reversed(range(len(f))):
+                if before[j] & after:
+                    r.append(j)
+                after &= stars[j]
+            if not 0 < len(r) < len(f) or reduce(and_, (stars[j] for j in r)):
+                continue
+        else:
+            r = ()
+        inside[i] = True
+        for v in f:
+            star[v] = star.get(v, 0) | 1 << i
+        free = len(f) - len(r)
+        for k in range(free + 1):
+            sizes[len(r) + k] += comb(free, k)
+    return inside, star, sizes
+
+
+def _relative_cells(facets, inside, star) -> tuple:
+    """The faces outside A, with their boundaries relative to A.
+
+    Every such face lies in a facet outside A, and it lies in A exactly
+    when the A-stars of its vertices meet.  For each facet f outside A,
+    meets[S] is the meet of the stars of the vertex subset S of f (bit j
+    for f[j]), built from the subset without its last vertex.  Cells are
+    numbered by dimension, then lexicographically.  boundary[c] lists the
+    faces of c that are outside A, in lexicographic order, and signs[c]
+    their incidences: (-1) ** p for the face that omits the p-th vertex
+    of c, its sign in the full boundary.
+    """
+    layers = [set() for _ in range(max(map(len, facets)))]
+    subsets: dict = {}  # (n, k): the k-subsets of range(n) as bitmasks
+    for f, joined in zip(facets, inside):
+        if joined:
+            continue
+        meets = [-1]
+        for v in f:
+            s = star.get(v, 0)
+            meets += [m & s for m in meets]
+        for k in range(1, len(f) + 1):
+            if (len(f), k) not in subsets:
+                subsets[len(f), k] = [
+                    sum(1 << j for j in p) for p in combinations(range(len(f)), k)
+                ]
+            layers[k - 1].update(compress(
+                combinations(f, k), [not meets[m] for m in subsets[len(f), k]]
+            ))
+    cells = [face for layer in layers for face in sorted(layer)]
+    index = {face: c for c, face in enumerate(cells)}
+    full = [tuple((-1) ** (k - i) for i in range(k + 1)) for k in range(len(layers))]
+    boundary, signs = [], []
+    for face in cells:
+        faces = tuple(map(index.get, combinations(face, len(face) - 1)))
+        incidences = full[len(face) - 1]
+        if None in faces:
+            kept = [y is not None for y in faces]
+            faces = tuple(compress(faces, kept))
+            incidences = tuple(compress(incidences, kept))
+        boundary.append(faces)
+        signs.append(incidences)
+    return cells, boundary, signs
 
 
 def _remove_pairs(boundary) -> list:
@@ -380,10 +458,9 @@ def _remove_pairs(boundary) -> list:
     counts falls to 1.  Counts only fall, so a live cell left with a
     count of 1 when the queue runs dry was queued at the start or when
     that count last fell, and was paired when it was taken: so the
-    search ends when the queue runs dry.  Each vertex
-    has one face, the empty face, so the vertices lead the queue and the
-    first pair is cell 1 with the empty face; the search spreads breadth
-    first from there.
+    search ends when the queue runs dry.  The queue starts in cell order,
+    lowest dimension first, and the search spreads breadth first from
+    there.
     """
     coboundary = [[] for _ in boundary]
     for c, faces in enumerate(boundary):
@@ -421,30 +498,36 @@ def _remove_pairs(boundary) -> list:
 
 
 def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
-    """Reduced homology over Z: pair removals, then Smith forms of the rest.
+    """Reduced homology over Z, as the homology of the pair (K, A).
 
-    The cells are the empty face and every face of the complex.  After
-    the pair removals, with leftover cells l_k and the ranks r_k of the
+    A is the acyclic subcomplex _acyclic_subcomplex grows, so by the long
+    exact sequence of the pair H(K, A) equals the reduced homology of K.
+    Its chain complex has a cell for each face outside A, and the empty
+    face, which A contains, is not one of them.  The pair removals run on
+    these cells; with leftover cells l_k and the ranks r_k of the
     restricted boundary maps, betti_k = l_k - r_k - r_{k+1}, and the
     torsion of H_k is read off the invariant factors of the restricted
     d_{k+1} exceeding 1.
     """
     top = complex_.dimension
-    boundary, starts = _augmented_boundaries(complex_)
+    inside, star, sizes = _acyclic_subcomplex(complex_.facets)
+    cells, boundary, signs = _relative_cells(complex_.facets, inside, star)
     live = _remove_pairs(boundary)
 
-    leftover = []
+    relative = [0] * (top + 1)
+    leftover = [0] * (top + 1)
+    matrices = [{} for _ in range(top + 1)]
+    for c, face in enumerate(cells):
+        k = len(face) - 1
+        relative[k] += 1
+        if live[c]:
+            leftover[k] += 1
+            matrices[k].update(
+                ((y, c), s) for y, s in zip(boundary[c], signs[c]) if live[y]
+            )
     ranks = [0] * (top + 2)  # ranks[k]: rank of the restricted d_k
     invariants = [()] * (top + 2)
-    for k in range(top + 1):
-        kept = [c for c in range(starts[k + 1], starts[k + 2]) if live[c]]
-        leftover.append(len(kept))
-        matrix = {
-            (y, c): (-1) ** (k - i)
-            for c in kept
-            for i, y in enumerate(boundary[c])
-            if live[y]
-        }
+    for k, matrix in enumerate(matrices):
         if matrix:
             invariants[k], ranks[k] = smith_normal_form(matrix)
 
@@ -453,8 +536,9 @@ def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
         torsion=tuple(
             tuple(d for d in invariants[k + 1] if d > 1) for k in range(top + 1)
         ),
+        acyclic=sum(inside),
         leftover=tuple(leftover),
-        cells=tuple(b - a for a, b in zip(starts[1:], starts[2:])),
+        cells=tuple(a + r for a, r in zip(sizes[1:], relative)),
     )
 
 

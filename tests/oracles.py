@@ -385,6 +385,7 @@ def snf_homology(facets):
         betti=tuple(cells[k] - ranks[k] - ranks[k + 1] for k in range(top + 1)),
         torsion=tuple(tuple(d for d in invariants[k + 1] if d > 1)
                       for k in range(top + 1)),
+        acyclic=0,
         leftover=cells,
         cells=cells,
     )

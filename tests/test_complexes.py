@@ -258,6 +258,110 @@ class TestReducedHomology:
         assert_matches_references(SimplicialComplex.from_facets(facets))
 
 
+def acyclic_facets(facets):
+    """The facets _acyclic_subcomplex takes into A, in facet order."""
+    c = SimplicialComplex.from_facets(facets)
+    inside, _, _ = complexes._acyclic_subcomplex(c.facets)
+    return [f for f, joined in zip(c.facets, inside) if joined]
+
+
+def random_complex(rng):
+    """Up to 14 facets on at most 8 vertices.  Every other complex has
+    facets of 1 to 5 vertices, so it need not be pure; the rest have
+    triangles and a few edges, which leave holes in degrees 1 and 2."""
+    n = rng.randint(1, 8)
+    sizes = (1, 2, 3, 4, 5) if rng.random() < 0.5 else (2, 3, 3, 3)
+    return SimplicialComplex.from_facets(
+        rng.sample(range(n), min(n, rng.choice(sizes)))
+        for _ in range(rng.randint(1, 14)))
+
+
+class TestAcyclicSubcomplex:
+    def test_lower_facet_whose_ridge_lies_in_a_larger_facet_joins(self):
+        # (0, 1) lies in the tetrahedron, so R = {4} and F & A is the edge
+        assert acyclic_facets([(0, 1, 2, 3), (0, 1, 4)]) == [
+            (0, 1, 2, 3), (0, 1, 4)]
+        # an edge whose one vertex is in A: R is the other vertex
+        assert acyclic_facets([(0, 1, 2), (2, 3)]) == [(0, 1, 2), (2, 3)]
+
+    def test_facet_meeting_a_only_at_a_vertex_stays_out(self):
+        # no ridge of (2, 3, 4) lies in A, so R is empty
+        c = SimplicialComplex.from_facets([(0, 1, 2), (2, 3, 4)])
+        assert acyclic_facets(c.facets) == [(0, 1, 2)]
+        profile = reduced_homology(c)
+        assert profile.betti == (0, 0, 0) and profile.acyclic == 1
+        assert profile.cells == c.f_vector() == (5, 6, 2)
+
+    def test_last_facet_of_the_tetrahedron_boundary_stays_out(self):
+        # every ridge of (1, 2, 3) lies in A, so R = F and F & A = dF
+        c = SimplicialComplex.from_facets(combinations(range(4), 3))
+        assert acyclic_facets(c.facets) == [(0, 1, 2), (0, 1, 3), (0, 2, 3)]
+        profile = reduced_homology(c)
+        assert profile.betti == (0, 0, 1)
+        assert profile.leftover == (0, 0, 1)
+        assert profile.cells == (4, 6, 4)
+
+    def test_facet_whose_restriction_lies_in_an_a_facet_stays_out(self):
+        # R = {3} lies in (0, 3): F & A is the edge (1, 2) and the vertex 3,
+        # which is disconnected, and K is a circle
+        c = SimplicialComplex.from_facets([(0, 1, 2), (0, 3), (1, 2, 3)])
+        assert acyclic_facets(c.facets) == [(0, 1, 2), (0, 3)]
+        profile = reduced_homology(c)
+        assert profile.betti == (0, 1, 0)
+        assert profile == snf_homology(c.facets)
+
+    def test_first_facet_may_be_a_lone_vertex(self):
+        c = SimplicialComplex.from_facets([(0,), (1, 2), (2, 3)])
+        assert acyclic_facets(c.facets) == [(0,)]
+        profile = reduced_homology(c)
+        assert profile.betti == (1, 0) and profile.acyclic == 1
+        assert profile.cells == (4, 2)
+        # a lone vertex after the first has R = F and stays out
+        assert acyclic_facets([(0, 1), (2,)]) == [(0, 1)]
+        assert reduced_homology(
+            SimplicialComplex.from_facets([(0,), (1,)])).acyclic == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_relabelled_projective_planes_keep_their_torsion(self, seed):
+        # each labelling orders the facets differently, so A and the
+        # relative cells differ, and the Z/2 rests on the incidence signs
+        labels = random.Random(7000 + seed).sample(range(20), 6)
+        c = SimplicialComplex.from_facets(
+            [labels[v - 1] for v in f] for f in PROJECTIVE_PLANE)
+        profile = reduced_homology(c)
+        assert profile.betti == (0, 0, 0)
+        assert profile.torsion == ((), (2,), ())
+        assert profile.acyclic < len(c.facets)
+        assert profile.cells == (6, 15, 10)
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_interval_spheres_leave_one_facet(self, genus):
+        c = build_complex(chain_surface(genus)).complex
+        profile = reduced_homology(c)
+        assert profile.acyclic == len(c.facets) - 1
+        assert profile.leftover == (0,) * (2 * genus - 2) + (1,)
+        if genus <= 4:  # criterion 12 checks the cells at g=5
+            assert profile.cells == c.f_vector()
+
+    @pytest.mark.parametrize("seed", range(300))
+    def test_random_complexes_match_references(self, seed):
+        c = random_complex(random.Random(6000 + seed))
+        profile = reduced_homology(c)
+        reference = snf_homology(c.facets)
+        assert profile == reference
+        assert profile.cells == reference.cells == c.f_vector()
+        assert (profile.betti, profile.torsion) == (
+            reduced_betti_and_torsion(c.facets))
+        # A is acyclic, and its face counts by binomials are its f-vector
+        inside, _, sizes = complexes._acyclic_subcomplex(c.facets)
+        a = SimplicialComplex(tuple(
+            f for f, joined in zip(c.facets, inside) if joined))
+        assert sum(inside) == profile.acyclic >= 1
+        assert set(snf_homology(a.facets).betti) == {0}
+        assert not any(snf_homology(a.facets).torsion)
+        assert tuple(sizes[1:a.dimension + 2]) == a.f_vector()
+
+
 def padded_homology(profile, length):
     """Betti numbers and torsion, padded with zeros to the given length."""
     extra = length - len(profile.betti)
