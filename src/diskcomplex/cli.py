@@ -130,7 +130,7 @@ def cmd_bbm_build(args) -> list:
             ("genus", None, args.genus),
             ("vertices", None, len(build.vertices)),
             ("edges", None, len(build.edges)),
-            ("f-vector", None, build.complex.f_vector()),
+            ("f-vector", None, reduced_homology(build.complex).cells),
             ("dimension", None, build.complex.dimension),
         ]
     payload = {

@@ -1,8 +1,8 @@
 """Finite simplicial complexes with exact integer homology.
 
-Complexes are stored by their facets over int vertex ids.
-SimplicialComplex.faces_by_dim enumerates every face, for f_vector();
-the homology builds only the faces it must.  Homology is reduced and
+Complexes are stored by their facets over int vertex ids, and no list of
+faces is kept: the homology builds only the faces it must and counts the
+rest, so HomologyProfile.cells is the f-vector.  Homology is reduced and
 always computed in every degree, so a probe of low degrees runs the same
 computation as the sphere certificate.  All arithmetic uses Python ints,
 so there is no overflow to detect: intermediate entries grow as needed.
@@ -74,8 +74,8 @@ class SimplicialComplex:
         """Sorted, deduplicated facets with every dominated face dropped.
 
         Faces are visited largest first, so a face is dominated exactly
-        when some kept facet contains all its vertices: when the stars
-        (sets of kept facets) of its vertices have a common member.
+        when some kept facet contains all its vertices: when the stars of
+        its vertices, int bitmasks over the kept facets, have a common bit.
         """
         cleaned = sorted(
             {tuple(sorted(set(f))) for f in facets}, key=lambda f: (-len(f), f)
@@ -85,11 +85,10 @@ class SimplicialComplex:
         for f in cleaned:
             if not f:
                 raise DomainError("empty facet")
-            stars = [star.get(v, set()) for v in f]
-            if min(stars, key=len).intersection(*stars):
+            if reduce(and_, (star.get(v, 0) for v in f)):
                 continue
             for v in f:
-                star.setdefault(v, set()).add(len(kept))
+                star[v] = star.get(v, 0) | 1 << len(kept)
             kept.append(f)
         if not kept:
             raise DomainError("a complex needs at least one facet")
@@ -102,17 +101,6 @@ class SimplicialComplex:
     @property
     def dimension(self) -> int:
         return max(len(f) for f in self.facets) - 1
-
-    def faces_by_dim(self) -> dict:
-        faces = {k: set() for k in range(self.dimension + 1)}
-        for f in self.facets:
-            for k in range(1, len(f) + 1):
-                faces[k - 1].update(combinations(f, k))
-        return {k: sorted(s) for k, s in faces.items()}
-
-    def f_vector(self) -> tuple:
-        faces = self.faces_by_dim()
-        return tuple(len(faces[k]) for k in range(self.dimension + 1))
 
 
 def _bits(mask: int):
@@ -210,25 +198,6 @@ def collapse_dominated_edges(vertices, edges) -> tuple:
 # ------------------------------------------------------------ smith form
 
 
-def _to_sparse(matrix):
-    """Accept dense list-of-lists or a {(r, c): v} dict."""
-    if isinstance(matrix, dict):
-        entries = matrix.items()
-    else:
-        entries = (
-            ((r, c), v)
-            for r, row in enumerate(matrix)
-            for c, v in enumerate(row)
-        )
-    rows: dict = {}
-    cols: dict = {}
-    for (r, c), v in entries:
-        if v:
-            rows.setdefault(r, {})[c] = v
-            cols.setdefault(c, set()).add(r)
-    return rows, cols
-
-
 def _chain_divisors(values) -> tuple:
     """Straighten a diagonal into a divisibility chain d1 | d2 | ...
 
@@ -259,9 +228,15 @@ def smith_normal_form(matrix) -> tuple:
     column among equals; its row and column are cleared by Euclidean
     steps, a nonzero remainder becoming the new pivot.  The pivot is
     found by a scan of all entries, which suits the small matrices the
-    pair removals leave.
+    pair removals leave.  The matrix is taken only as a sparse
+    {(row, col): value} dict, the form reduced_homology builds.
     """
-    rows, cols = _to_sparse(matrix)
+    rows: dict = {}
+    cols: dict = {}
+    for (r, c), v in matrix.items():
+        if v:
+            rows.setdefault(r, {})[c] = v
+            cols.setdefault(c, set()).add(r)
     pivots = []
 
     def row_axpy(dst, src, k):

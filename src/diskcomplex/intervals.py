@@ -54,10 +54,6 @@ class Interval:
         return self.m - self.j + 1
 
     @property
-    def circles(self) -> range:
-        return range(self.j, self.m + 1)
-
-    @property
     def predicted_side(self) -> Side:
         if self.size % 2 == 0:
             return Side.O

@@ -40,6 +40,9 @@ two is evidence rather than tautology.
   These are the references for the sampler's class generator and for
   canonical_unoriented.
 
+* Face counts by enumerating every face, as the reference for the
+  f-vector that reduced_homology counts with binomials.
+
 * Maximal cliques by subset enumeration, and the quadratic dominance
   filter that reduces a facet list to its maximal faces, as references
   for the clique enumerator and the facet normalisation.
@@ -310,12 +313,19 @@ def sympy_invariants(matrix) -> tuple:
 # ------------------------------------------------- brute force reduced betti
 
 
-def _faces_of(facets, k):
+def faces_of(facets, k):
+    """The k-faces of the complex with the given facets, sorted."""
     faces = set()
     for f in facets:
         if len(f) >= k + 1:
             faces.update(combinations(sorted(f), k + 1))
     return sorted(faces)
+
+
+def face_counts(facets) -> tuple:
+    """The f-vector, by enumerating the faces of every dimension."""
+    top = max(len(f) for f in facets) - 1
+    return tuple(len(faces_of(facets, k)) for k in range(top + 1))
 
 
 def boundary_matrix(faces_low, faces_high) -> dict:
@@ -345,7 +355,7 @@ def reduced_betti_and_torsion(facets):
     """
     facets = [tuple(sorted(f)) for f in facets]
     dim = max(len(f) for f in facets) - 1
-    faces = {k: _faces_of(facets, k) for k in range(dim + 1)}
+    faces = {k: faces_of(facets, k) for k in range(dim + 1)}
     ranks = {0: 1}  # augmentation: the empty face boundary has rank 1
     torsion_source = {}
     for k in range(1, dim + 2):
@@ -374,7 +384,7 @@ def snf_homology(facets):
     """
     facets = [tuple(sorted(f)) for f in facets]
     top = max(len(f) for f in facets) - 1
-    faces = [_faces_of(facets, k) for k in range(top + 1)]
+    faces = [faces_of(facets, k) for k in range(top + 1)]
     ranks = [1] + [0] * (top + 1)  # ranks[k]: rank of d_k, d_0 the augmentation
     invariants = [()] * (top + 2)
     for k in range(1, top + 1):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,34 @@ class TestPersistence:
             "torsion   none\n"
             "leftover  (0, 2, 0)\n"
         )
+
+    @pytest.mark.parametrize("build", [
+        ["bbm", "build", "-g", "2"],
+        ["gamma", "sample", "-g", "2", "-L", "4"],
+    ], ids=["bbm_g2", "gamma_2_4"])
+    def test_homology_of_a_resigned_messy_document(self, capsys, tmp_path,
+                                                   build):
+        # the facets shuffled, each one's vertices permuted, some repeated
+        # and some faces of them added: the same complex, the same output
+        clean = tmp_path / "clean.json"
+        assert cap(capsys, build + ["--out", str(clean)])[0] == 0
+        doc = json.loads(clean.read_text())
+        facets = doc["payload"]["facets"]
+        rng = random.Random(43)
+        messy = [rng.sample(f, len(f)) for f in facets]
+        messy += rng.sample(messy, len(messy) // 3)
+        messy += [rng.sample(f, rng.randint(1, len(f) - 1))
+                  for f in rng.sample(facets, len(facets) // 2) if len(f) > 1]
+        rng.shuffle(messy)
+        assert len(messy) > len(facets) and messy[:len(facets)] != facets
+        doc["payload"]["facets"] = messy
+        doc["manifest"]["payload_sha256"] = payload_sha256(doc["payload"])
+        resigned = tmp_path / "messy.json"
+        resigned.write_text(json.dumps(doc))
+        for flags in ([], ["--json"]):
+            want = cap(capsys, ["homology", str(clean)] + flags)
+            assert want[0] == 0
+            assert cap(capsys, ["homology", str(resigned)] + flags) == want
 
     def test_unknown_schema_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

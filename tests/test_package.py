@@ -67,6 +67,36 @@ def test_every_private_helper_is_named_outside_its_definition():
     assert unused == []
 
 
+def test_every_method_is_named_in_the_package_or_its_tests():
+    # a def statement is not an Attribute node, so a method or property
+    # that only its own definition mentions is never named; dunder methods
+    # are called by the language itself
+    package = Path(diskcomplex.__file__).parent
+    trees = {
+        p: ast.parse(p.read_text())
+        for p in [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    }
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unused = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path, tree in sorted(trees.items())
+        if path.parent == package
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in named
+    ]
+    assert unused == []
+
+
 def test_no_module_imports_another_modules_private_name():
     # a private helper stays private to its module: a caller elsewhere in
     # the package gets a public name, or the helper moves to the caller;
