@@ -32,14 +32,15 @@ unchanged.
 
 The Smith form sees only the cells the pair removals leave: none on the
 interval spheres at g = 2..5, whose one cell has no boundary, 54 cells
-on the g = 3, L = 5 sample and 294 on g = 3, L = 6.  So it is plain elimination: the pivot is the smallest
-nonzero entry, its row and column are cleared by Euclidean steps, and
-the collected diagonal is straightened into a divisibility chain by
-gcd/lcm exchanges (each realized by unimodular operations on a 2x2
-block, so the invariant factors are unchanged).  Among entries of equal
-size the pivot is the one whose row and column are shortest: this keeps
-the fill low, and with it the units, whose loss makes the entries of the
-remaining rows grow with each pivot.
+on the g = 3, L = 5 sample and 294 on g = 3, L = 6.  So it is plain
+elimination that keeps the divisibility chain as it goes: the pivot is
+the smallest nonzero entry, its column and row are cleared by Euclidean
+steps, and a pivot left alone that fails to divide a remaining entry
+first adds that entry's row to its own (Cohen, GTM 138, 2.4), so every
+pivot divides the next.  Among entries of equal size the pivot is the
+one whose row and column are shortest: this keeps the fill low, and
+with it the units, whose loss makes the entries of the remaining rows
+grow with each pivot.
 
 A flag complex can be shrunk before any face is built.
 collapse_dominated_edges removes the edges of a graph that are dominated
@@ -57,7 +58,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, compress
-from math import comb, gcd
+from math import comb
 from operator import and_
 
 from .errors import DomainError
@@ -198,38 +199,22 @@ def collapse_dominated_edges(vertices, edges) -> tuple:
 # ------------------------------------------------------------ smith form
 
 
-def _chain_divisors(values) -> tuple:
-    """Straighten a diagonal into a divisibility chain d1 | d2 | ...
-
-    Units divide every entry and no exchange changes them, so they are
-    set aside first and the gcd/lcm exchanges run on the rest.
-    """
-    d = sorted(a for a in map(abs, values) if a != 1)
-    units = len(values) - len(d)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] * d[j] // g
-                    changed = True
-        d.sort()
-    return (1,) * units + tuple(d)
-
-
 def smith_normal_form(matrix) -> tuple:
     """Invariant factors and rank of an integer matrix.
 
     Returns (divisors, rank): the positive diagonal d_1 | d_2 | ... | d_r
     with ones included, and rank = len(divisors).  Each pivot is the
     smallest nonzero entry left, the one with the shortest row and
-    column among equals; its row and column are cleared by Euclidean
-    steps, a nonzero remainder becoming the new pivot.  The pivot is
-    found by a scan of all entries, which suits the small matrices the
-    pair removals leave.  The matrix is taken only as a sparse
-    {(row, col): value} dict, the form reduced_homology builds.
+    column among equals; its column and then its row are cleared by
+    Euclidean steps, a nonzero remainder becoming the new pivot.  A
+    pivot p alone in its row and column that fails to divide an entry
+    left takes that entry's row into its own, so the next remainder is
+    smaller than |p| (Cohen, GTM 138, 2.4).  Each pivot then divides
+    every entry left, and the pivots are the chain in the order they
+    are found.  The pivot is found by a scan of all entries, which suits
+    the small matrices the pair removals leave.  The matrix is taken
+    only as a sparse {(row, col): value} dict, the form reduced_homology
+    builds, and is not modified.
     """
     rows: dict = {}
     cols: dict = {}
@@ -254,20 +239,6 @@ def smith_normal_form(matrix) -> tuple:
         if not drow:
             del rows[dst]
 
-    def col_axpy(dst, src, k):
-        for r in list(cols.get(src, ())):
-            v = rows[r][src]
-            nv = rows[r].get(dst, 0) + k * v
-            if nv:
-                rows[r][dst] = nv
-                cols.setdefault(dst, set()).add(r)
-            else:
-                rows[r].pop(dst, None)
-                if dst in cols:
-                    cols[dst].discard(r)
-                    if not cols[dst]:
-                        del cols[dst]
-
     while rows:
         *_, r, c = min(
             (abs(v), len(row) + len(cols[c2]), r2, c2)
@@ -284,23 +255,32 @@ def smith_normal_form(matrix) -> tuple:
                     if rem:
                         r = r2
                         break
-            else:  # the pivot is alone in its column; now clear its row
-                for c2 in list(rows[r]):
+            else:  # alone in its column: a column move changes only row r
+                row = rows[r]
+                for c2 in list(row):
                     if c2 != c:
-                        q, rem = divmod(rows[r][c2], p)
-                        if q:
-                            col_axpy(c2, c, -q)
-                        if rem:
+                        row[c2] %= p
+                        if row[c2]:
                             c = c2
                             break
-                else:
-                    break
+                        del row[c2]
+                        cols[c2].discard(r)
+                        if not cols[c2]:
+                            del cols[c2]
+                else:  # alone in its row too: take in a row p fails to divide
+                    if abs(p) == 1:
+                        break
+                    r2 = next((r2 for r2, row2 in rows.items()
+                               if any(v % p for v in row2.values())), None)
+                    if r2 is None:
+                        break
+                    row_axpy(r, r2, 1)
         pivots.append(abs(rows[r].pop(c)))
         if not rows[r]:
             del rows[r]
         del cols[c]
 
-    return _chain_divisors(pivots), len(pivots)
+    return tuple(pivots), len(pivots)
 
 
 # --------------------------------------------------------------- homology

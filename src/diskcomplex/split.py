@@ -121,18 +121,9 @@ def cut_cycle(graph: RibbonGraph, walk) -> RibbonGraph:
         rot.append((out,) + tuple(left_arc) + (inn,))
         rot.append((right[inn],) + tuple(right_arc) + (right[out],))
 
-    pairs = []
-    done = set()
-    for d in graph.darts:
-        e = graph.reverse_of(d)
-        if d in done or e in done:
-            continue
-        done.update((d, e))
-        pairs.append((d, e))
-        if d in support:
-            pairs.append((right[d], right[e]))
-    rev = tuple(pairs)
-    return RibbonGraph(rot=tuple(rot), rev=rev)
+    rev = list(graph.rev)
+    rev += [(right[d], right[e]) for d, e in graph.rev if d in support]
+    return RibbonGraph(rot=tuple(rot), rev=tuple(rev))
 
 
 def complement_of_neighborhood(graph: RibbonGraph, support_darts) -> RibbonGraph:
@@ -150,7 +141,7 @@ def complement_of_neighborhood(graph: RibbonGraph, support_darts) -> RibbonGraph
 
     fresh = max(graph.darts) + 1
     rot = []
-    rev_pairs = []
+    rev_pairs = [(d, e) for d, e in graph.rev if d not in support]
 
     # vertices of the ambient graph carrying no support dart survive intact
     support_vertices = set()
@@ -159,13 +150,6 @@ def complement_of_neighborhood(graph: RibbonGraph, support_darts) -> RibbonGraph
     for idx, cycle in enumerate(graph.rot):
         if idx not in support_vertices:
             rot.append(tuple(cycle))
-    done = set()
-    for d in graph.darts:
-        e = graph.reverse_of(d)
-        if d in support or d in done or e in done:
-            continue
-        done.update((d, e))
-        rev_pairs.append((d, e))
 
     claimed = set()
     for walk in walks:

@@ -13,10 +13,12 @@ from diskcomplex.cli import (
     SCHEMA_BBM,
     SCHEMA_GAMMA,
     load_document,
+    make_document,
     payload_sha256,
     run,
 )
 from diskcomplex.errors import SchemaError
+from test_complexes import PROJECTIVE_PLANE
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -256,6 +258,26 @@ class TestPersistence:
             "torsion   none\n"
             "leftover  (0, 2, 0)\n"
         )
+
+    def test_homology_prints_torsion(self, capsys, tmp_path):
+        # the projective plane keeps a Z/2 that only the Smith form finds
+        path = tmp_path / "rp2.json"
+        path.write_text(json.dumps(make_document(
+            SCHEMA_GAMMA, {"facets": [list(f) for f in PROJECTIVE_PLANE]})))
+        code, out, _ = cap(capsys, ["homology", str(path)])
+        assert code == 0
+        assert out == (
+            "schema    diskcx/gamma-sample/1\n"
+            "f-vector  (6, 15, 10)\n"
+            "betti     (0, 0, 0)\n"
+            "torsion   ((), (2,), ())\n"
+            "leftover  (0, 5, 5)\n"
+        )
+        code, out, _ = cap(capsys, ["homology", str(path), "--json"])
+        assert code == 0
+        assert out == (
+            '{"betti":[0,0,0],"f_vector":[6,15,10],"leftover":[0,5,5],'
+            '"schema":"diskcx/gamma-sample/1","torsion":[[],[2],[]]}\n')
 
     @pytest.mark.parametrize("build", [
         ["bbm", "build", "-g", "2"],

@@ -168,6 +168,20 @@ class TestSmithNormalForm:
     def test_torsion_block(self):
         divisors, rank = smith_normal_form({(0, 0): 2, (1, 1): 3})
         assert divisors == (1, 6) and rank == 2
+        # pivots that do not divide each other, on and off the diagonal
+        for dense, expected in [
+            ([[4, 0], [0, 6]], ((2, 12), 2)),
+            ([[6, 0, 0], [0, 10, 0], [0, 0, 15]], ((1, 30, 30), 3)),
+            ([[2, 1], [0, 2]], ((1, 4), 2)),
+        ]:
+            assert smith_normal_form(entries(dense)) == expected
+            assert sympy_invariants(dense) == expected[0]
+
+    def test_leaves_its_argument_unchanged(self):
+        matrix = entries([[6, 4, 0], [0, 10, 15], [3, 0, 2]])
+        before = dict(matrix)
+        smith_normal_form(matrix)
+        assert matrix == before
 
     def test_zero_matrix(self):
         assert smith_normal_form({}) == ((), 0)
