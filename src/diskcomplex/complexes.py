@@ -1,20 +1,21 @@
 """Finite simplicial complexes with exact integer homology.
 
-Complexes are stored by their facets over int vertex ids, and no list of
-faces is kept: the homology builds only the faces it must and counts the
-rest, so HomologyProfile.cells is the f-vector.  Homology is reduced and
-always computed in every degree, so a probe of low degrees runs the same
+A complex is stored as a list of faces over int vertex ids that generates
+it, which need not hold only maximal faces.  No list of all its faces is
+kept: the homology builds only the faces it must and counts the rest, so
+HomologyProfile.cells is the f-vector.  Homology is reduced and always
+computed in every degree, so a probe of low degrees runs the same
 computation as the sphere certificate.  All arithmetic uses Python ints,
 so there is no overflow to detect: intermediate entries grow as needed.
 
 reduced_homology computes the homology of the pair (K, A), where A is an
 acyclic subcomplex (Mrozek, Pilarczyk and Zelazna, Comput. Math. Appl.
 2008): by the long exact sequence of the pair, H(K, A) is the reduced
-homology of K.  A is grown over the facets in lexicographic order: a
-facet joins when it meets A in a union of its ridges that is a cone, the
+homology of K.  A is grown over the listed faces in lexicographic order:
+a face joins when it meets A in a union of its ridges that is a cone, the
 shelling step of Bjorner and Danaraj-Klee, so A stays acyclic by
 Mayer-Vietoris.  The faces A gains are counted by binomials and never
-built.  On the interval spheres A takes every facet but one, at g = 2..5,
+built.  On the interval spheres A takes every facet but one, at g = 2..6,
 so the relative chain complex has a single cell.  The cells are the
 faces outside A, each with its boundary restricted to the faces outside
 A and its incidences taken from the full boundary.
@@ -68,36 +69,19 @@ from .errors import DomainError
 
 @dataclass(frozen=True, eq=False)
 class SimplicialComplex:
-    facets: tuple  # sorted vertex tuples, pairwise non-nested
+    # sorted, distinct vertex tuples whose faces make up the complex;
+    # flag_from_graph lists exactly the maximal ones
+    facets: tuple
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
-        """Sorted, deduplicated facets with every dominated face dropped.
-
-        Faces are visited largest first, so a face is dominated exactly
-        when some kept facet contains all its vertices: when the stars of
-        its vertices, int bitmasks over the kept facets, have a common bit.
-        """
-        cleaned = sorted(
-            {tuple(sorted(set(f))) for f in facets}, key=lambda f: (-len(f), f)
-        )
-        kept = []
-        star: dict = {}
-        for f in cleaned:
-            if not f:
-                raise DomainError("empty facet")
-            if reduce(and_, (star.get(v, 0) for v in f)):
-                continue
-            for v in f:
-                star[v] = star.get(v, 0) | 1 << len(kept)
-            kept.append(f)
-        if not kept:
+        """Sorted, distinct faces with sorted vertices; nested ones stay."""
+        cleaned = sorted({tuple(sorted(set(f))) for f in facets})
+        if not cleaned:
             raise DomainError("a complex needs at least one facet")
-        return cls(tuple(sorted(kept)))
-
-    @property
-    def vertices(self) -> tuple:
-        return tuple(sorted({v for f in self.facets for v in f}))
+        if not cleaned[0]:
+            raise DomainError("empty facet")
+        return cls(tuple(cleaned))
 
     @property
     def dimension(self) -> int:
@@ -290,7 +274,7 @@ def smith_normal_form(matrix) -> tuple:
 class HomologyProfile:
     """Reduced integer homology: Betti numbers and torsion per degree.
 
-    cells is the f-vector.  acyclic is the number of facets in the
+    cells is the f-vector.  acyclic is the number of listed faces in the
     acyclic subcomplex A, and leftover counts per degree the cells of the
     pair (K, A), the faces outside A, that outlived the pair removals and
     went to the Smith form.  cells, acyclic and leftover describe the
@@ -314,21 +298,30 @@ class HomologyProfile:
 
 
 def _acyclic_subcomplex(facets) -> tuple:
-    """An acyclic subcomplex A, grown over the facets in their order.
+    """An acyclic subcomplex A, grown over the listed faces in their order.
 
-    The first facet joins A.  A later facet F is restricted to A by R,
-    the set of v in F whose ridge F - v lies in an A-facet, and it joins
-    when 0 < |R| < |F| and no A-facet contains R.  Then a face of F lies
-    in A exactly when it misses a vertex of R, so F & A is the union of
-    the ridges F - v (v in R): a cone over any vertex of F - R.  By
-    Mayer-Vietoris A | F is acyclic when A is.  This is the shelling step
-    of Bjorner and Danaraj-Klee, used to grow the acyclic subspace of
-    Mrozek, Pilarczyk and Zelazna (Comput. Math. Appl. 2008).  The faces
-    F adds are those of the interval [R, F], so they are counted by
+    The first listed face joins A.  A later one F is restricted to A by
+    R, the set of v in F whose ridge F - v lies in a face of A, and it
+    joins when 0 < |R| < |F| and no face of A contains R.  Then a face of
+    F lies in A exactly when it misses a vertex of R, so F & A is the
+    union of the ridges F - v (v in R): a cone over any vertex of F - R.
+    By Mayer-Vietoris A | F is acyclic when A is.  This is the shelling
+    step of Bjorner and Danaraj-Klee, used to grow the acyclic subspace
+    of Mrozek, Pilarczyk and Zelazna (Comput. Math. Appl. 2008).  The
+    faces F adds are those of the interval [R, F], so they are counted by
     binomials and never built.
 
-    Returns the flags of the facets in A, A's vertex stars as int
-    bitmasks over facet indices, and A's face counts by size, the empty
+    Nothing here needs the listed faces to be maximal.  A face of F in A
+    that contains R would put R in A, so the faces of F in A are those
+    that miss a vertex of R whichever listed faces put them there, and
+    the binomials count only new faces.  A listed face inside a face of A
+    has R = F and stays out, and _relative_cells builds no cell from it.
+    One inside a later listed face G may join A first, and G is then
+    judged against A as usual.  The cells are read off A's final stars
+    into sets, so a face shared by two listed faces is one cell.
+
+    Returns the flags of the listed faces in A, A's vertex stars as int
+    bitmasks over their indices, and A's face counts by size, the empty
     face included.
     """
     star: dict = {}
@@ -513,7 +506,11 @@ class PseudomanifoldReport:
 
 
 def pseudomanifold_check(complex_: SimplicialComplex, dim: int) -> PseudomanifoldReport:
-    """Closed pseudomanifold test: purity, ridges in two facets, ridge-connectivity."""
+    """Closed pseudomanifold test: purity, ridges in two facets, ridge-connectivity.
+
+    complex_.facets are read as the maximal faces, as flag_from_graph and
+    diskcx documents list them: pure means each has dim + 1 vertices.
+    """
     facets = complex_.facets
     pure = all(len(f) == dim + 1 for f in facets)
     if not pure:

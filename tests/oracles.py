@@ -45,7 +45,7 @@ two is evidence rather than tautology.
 
 * Maximal cliques by subset enumeration, and the quadratic dominance
   filter that reduces a facet list to its maximal faces, as references
-  for the clique enumerator and the facet normalisation.
+  for the clique enumerator and for homology on lists with nested faces.
 """
 
 from itertools import combinations

@@ -282,7 +282,8 @@ class TestPersistence:
     @pytest.mark.parametrize("build", [
         ["bbm", "build", "-g", "2"],
         ["gamma", "sample", "-g", "2", "-L", "4"],
-    ], ids=["bbm_g2", "gamma_2_4"])
+        ["bbm", "build", "-g", "3"],
+    ], ids=["bbm_g2", "gamma_2_4", "bbm_g3"])
     def test_homology_of_a_resigned_messy_document(self, capsys, tmp_path,
                                                    build):
         # the facets shuffled, each one's vertices permuted, some repeated

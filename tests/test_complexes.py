@@ -72,13 +72,27 @@ def assert_matches_references(c, oracle=True):
 
 
 class TestSimplicialComplex:
-    def test_from_facets_drops_dominated(self, chain3):
+    def test_from_facets_keeps_nested_faces(self, chain3):
         c = SimplicialComplex.from_facets([(0, 1, 2), (0, 1), (3,)])
-        assert c.facets == ((0, 1, 2), (3,))
+        assert c.facets == ((0, 1), (0, 1, 2), (3,))
         assert c.dimension == 2
         assert len({len(f) for f in c.facets}) != 1
-        # duplicates, nested sub-facets and unsorted vertex order, against
-        # the quadratic reference filter
+        c = SimplicialComplex.from_facets([(2, 1, 0), (1, 0), (0, 1, 2), (0, 1, 1)])
+        assert c.facets == ((0, 1), (0, 1, 2))
+
+        def assert_same_homology(facets):
+            # the listing and its maximal faces, the quadratic reference
+            # filter, are one complex: the same homology and f-vector
+            c = SimplicialComplex.from_facets(facets)
+            assert c.facets == tuple(sorted({tuple(sorted(f)) for f in facets}))
+            maximal = maximal_faces_quadratic(facets)
+            profile = reduced_homology(c)
+            reference = reduced_homology(SimplicialComplex(maximal))
+            assert profile == reference
+            assert profile.cells == reference.cells == face_counts(maximal)
+            return c
+
+        # duplicates, nested sub-facets and unsorted vertex order
         rng = random.Random(77)
         for _ in range(50):
             facets = [rng.sample(range(10), rng.randint(1, 5))
@@ -87,10 +101,10 @@ class TestSimplicialComplex:
                        for f in rng.sample(facets, len(facets) // 2)]
             facets += rng.sample(facets, len(facets) // 3)
             rng.shuffle(facets)
-            assert (SimplicialComplex.from_facets(facets).facets
-                    == maximal_faces_quadratic(facets))
-        # 132 kept facets, so the vertex stars span three 64-bit words: the
-        # g=3 sphere with every ridge of every facet, and duplicates
+            assert_same_homology(facets)
+        # the g=3 sphere with every ridge of every facet, and duplicates:
+        # 132 facets and their 792 ridges, so the stars of the acyclic walk
+        # span many 64-bit words
         sphere = build_complex(chain3).complex.facets
         rng = random.Random(78)
         facets = [rng.sample(f, len(f)) for f in sphere]
@@ -98,9 +112,10 @@ class TestSimplicialComplex:
                    for r in combinations(f, len(f) - 1)]
         facets += rng.sample(facets, len(facets) // 2)
         rng.shuffle(facets)
-        c = SimplicialComplex.from_facets(facets)
-        assert len(c.facets) == 132 > 2 * 64
-        assert c.facets == sphere == maximal_faces_quadratic(facets)
+        c = assert_same_homology(facets)
+        assert maximal_faces_quadratic(facets) == sphere
+        assert len(sphere) == 132 and len(c.facets) > 2 * 64
+        assert reduced_homology(c).is_reduced_sphere(4)
 
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -345,6 +360,26 @@ class TestAcyclicSubcomplex:
         profile = reduced_homology(c)
         assert profile.betti == (0, 1, 0)
         assert profile == snf_homology(c.facets)
+
+    def test_face_listed_before_its_container(self):
+        # (0, 1) joins A first; (0, 1, 2) then has R = {2}, and (0, 1, 3)
+        # R = {3}: A is the two triangles, and the edge adds no cell
+        c = SimplicialComplex.from_facets([(0, 1), (0, 1, 2), (0, 1, 3)])
+        assert acyclic_facets(c.facets) == [(0, 1), (0, 1, 2), (0, 1, 3)]
+        profile = reduced_homology(c)
+        assert profile.betti == (0, 0, 0) and profile.leftover == (0, 0, 0)
+        assert profile.cells == face_counts(c.facets) == (4, 5, 2)
+
+    def test_face_listed_after_its_container(self):
+        # every ridge of (0, 2) lies in (0, 1, 2), so R = F and it stays
+        # out with no cell; (0, 3) and (2, 3) then close a circle
+        c = SimplicialComplex.from_facets([(0, 1, 2), (0, 2), (0, 3), (2, 3)])
+        assert c.facets[1] == (0, 2)
+        assert acyclic_facets(c.facets) == [(0, 1, 2), (0, 3)]
+        profile = reduced_homology(c)
+        assert profile.betti == (0, 1, 0) and profile.leftover == (0, 1, 0)
+        assert profile.cells == face_counts(c.facets) == (4, 5, 1)
+        assert profile == snf_homology(maximal_faces_quadratic(c.facets))
 
     def test_first_facet_may_be_a_lone_vertex(self):
         c = SimplicialComplex.from_facets([(0,), (1, 2), (2, 3)])
