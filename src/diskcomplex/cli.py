@@ -119,6 +119,13 @@ def load_document(path: Path) -> dict:
     return doc
 
 
+def write_document(path: Path, doc: dict) -> None:
+    try:
+        Path(path).write_text(canonical_json(doc) + "\n")
+    except OSError as exc:
+        raise DomainError(f"cannot write document {path}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -163,7 +170,7 @@ def cmd_bbm_build(args) -> list:
     )
     if args.out is None:
         return [(None, key, value) for key, value in doc.items()]
-    Path(args.out).write_text(canonical_json(doc) + "\n")
+    write_document(args.out, doc)
     print(f"wrote {args.out}")
     return []
 
@@ -265,7 +272,7 @@ def cmd_gamma_sample(args) -> list:
             command=f"gamma sample -g {args.genus} -L {args.budget}",
             wall_ms=int(1000 * (time.monotonic() - t0)),
         )
-        Path(args.out).write_text(canonical_json(doc) + "\n")
+        write_document(args.out, doc)
     return [
         ("genus", None, args.genus),
         ("budget", None, args.budget),

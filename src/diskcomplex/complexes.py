@@ -18,7 +18,7 @@ Mayer-Vietoris.  The faces A gains are counted by binomials and never
 built.  On the interval spheres A takes every facet but one, at g = 2..6,
 so the relative chain complex has a single cell.  The cells are the
 faces outside A, each with its boundary restricted to the faces outside
-A and its incidences taken from the full boundary.
+A, and only the incidences the Smith form reads are given signs.
 
 The relative cells then lose pairs, and a Smith normal form is taken of
 what is left.  A pair is a cell with exactly one live face, taken with
@@ -32,16 +32,13 @@ restricted to the live cells, and homology over Z, torsion included, is
 unchanged.
 
 The Smith form sees only the cells the pair removals leave: none on the
-interval spheres at g = 2..5, whose one cell has no boundary, 54 cells
+interval spheres at g = 2..6, whose one cell has no boundary, 54 cells
 on the g = 3, L = 5 sample and 294 on g = 3, L = 6.  So it is plain
-elimination that keeps the divisibility chain as it goes: the pivot is
-the smallest nonzero entry, its column and row are cleared by Euclidean
-steps, and a pivot left alone that fails to divide a remaining entry
-first adds that entry's row to its own (Cohen, GTM 138, 2.4), so every
-pivot divides the next.  Among entries of equal size the pivot is the
-one whose row and column are shortest: this keeps the fill low, and
-with it the units, whose loss makes the entries of the remaining rows
-grow with each pivot.
+elimination on the smallest entry that keeps the divisibility chain as
+it goes (Cohen, GTM 138, 2.4; smith_normal_form says how).  Among
+entries of equal size the pivot is the one whose row and column are
+shortest: this keeps the fill low, and with it the units, whose loss
+makes the entries of the remaining rows grow with each pivot.
 
 A flag complex can be shrunk before any face is built.
 collapse_dominated_edges removes the edges of a graph that are dominated
@@ -60,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, compress
 from math import comb
-from operator import and_
+from operator import and_, eq
 
 from .errors import DomainError
 
@@ -300,16 +297,16 @@ class HomologyProfile:
 def _acyclic_subcomplex(facets) -> tuple:
     """An acyclic subcomplex A, grown over the listed faces in their order.
 
-    The first listed face joins A.  A later one F is restricted to A by
-    R, the set of v in F whose ridge F - v lies in a face of A, and it
-    joins when 0 < |R| < |F| and no face of A contains R.  Then a face of
-    F lies in A exactly when it misses a vertex of R, so F & A is the
-    union of the ridges F - v (v in R): a cone over any vertex of F - R.
-    By Mayer-Vietoris A | F is acyclic when A is.  This is the shelling
-    step of Bjorner and Danaraj-Klee, used to grow the acyclic subspace
-    of Mrozek, Pilarczyk and Zelazna (Comput. Math. Appl. 2008).  The
-    faces F adds are those of the interval [R, F], so they are counted by
-    binomials and never built.
+    A listed face F is restricted to A by R, the set of v in F whose
+    ridge F - v lies in a face of A, and it joins when |R| < |F| and no
+    face of A contains R.  Every face of A contains the empty face, so
+    the first listed face joins, and a later one with R empty stays out.
+    When a later F joins, a face of F lies in A exactly when it misses a
+    vertex of R, so F & A is the union of the ridges F - v (v in R), a
+    cone over any vertex of F - R, and A | F is acyclic by Mayer-Vietoris.
+    This is the shelling step of Bjorner and Danaraj-Klee, used to grow
+    the acyclic subspace of Mrozek, Pilarczyk and Zelazna (Comput. Math.
+    Appl. 2008).  F adds the faces of [R, F], counted by binomials.
 
     Nothing here needs the listed faces to be maximal.  A face of F in A
     that contains R would put R in A, so the faces of F in A are those
@@ -328,21 +325,19 @@ def _acyclic_subcomplex(facets) -> tuple:
     inside = [False] * len(facets)
     sizes = [0] * (max(map(len, facets)) + 1)
     for i, f in enumerate(facets):
-        if i:
-            stars = [star.get(v, 0) for v in f]
-            # before[j] & after: the A-facets that contain the ridge f - f[j]
-            before = [-1]
-            for s in stars:
-                before.append(before[-1] & s)
-            after, r = -1, []
-            for j in reversed(range(len(f))):
-                if before[j] & after:
-                    r.append(j)
-                after &= stars[j]
-            if not 0 < len(r) < len(f) or reduce(and_, (stars[j] for j in r)):
-                continue
-        else:
-            r = ()
+        empty = -1 if i else 0  # the meet of no stars: all of A
+        stars = [star.get(v, 0) for v in f]
+        # before[j] & after: the A-faces that contain the ridge f - f[j]
+        before = [empty]
+        for s in stars:
+            before.append(before[-1] & s)
+        after, r = empty, []
+        for j in reversed(range(len(f))):
+            if before[j] & after:
+                r.append(j)
+            after &= stars[j]
+        if len(r) == len(f) or reduce(and_, (stars[j] for j in r), empty):
+            continue
         inside[i] = True
         for v in f:
             star[v] = star.get(v, 0) | 1 << i
@@ -360,9 +355,7 @@ def _relative_cells(facets, inside, star) -> tuple:
     meets[S] is the meet of the stars of the vertex subset S of f (bit j
     for f[j]), built from the subset without its last vertex.  Cells are
     numbered by dimension, then lexicographically.  boundary[c] lists the
-    faces of c that are outside A, in lexicographic order, and signs[c]
-    their incidences: (-1) ** p for the face that omits the p-th vertex
-    of c, its sign in the full boundary.
+    faces of c that are outside A, in lexicographic order, unsigned.
     """
     layers = [set() for _ in range(max(map(len, facets)))]
     subsets: dict = {}  # (n, k): the k-subsets of range(n) as bitmasks
@@ -383,18 +376,13 @@ def _relative_cells(facets, inside, star) -> tuple:
             ))
     cells = [face for layer in layers for face in sorted(layer)]
     index = {face: c for c, face in enumerate(cells)}
-    full = [tuple((-1) ** (k - i) for i in range(k + 1)) for k in range(len(layers))]
-    boundary, signs = [], []
+    boundary = []
     for face in cells:
         faces = tuple(map(index.get, combinations(face, len(face) - 1)))
-        incidences = full[len(face) - 1]
         if None in faces:
-            kept = [y is not None for y in faces]
-            faces = tuple(compress(faces, kept))
-            incidences = tuple(compress(incidences, kept))
+            faces = tuple(y for y in faces if y is not None)
         boundary.append(faces)
-        signs.append(incidences)
-    return cells, boundary, signs
+    return cells, boundary
 
 
 def _remove_pairs(boundary) -> list:
@@ -455,11 +443,13 @@ def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
     these cells; with leftover cells l_k and the ranks r_k of the
     restricted boundary maps, betti_k = l_k - r_k - r_{k+1}, and the
     torsion of H_k is read off the invariant factors of the restricted
-    d_{k+1} exceeding 1.
+    d_{k+1} exceeding 1.  Only the incidences between leftover cells are
+    signed: (-1) ** p for a face that omits the p-th vertex of the cell,
+    so that the two agree in their first p vertices and nowhere after.
     """
     top = complex_.dimension
     inside, star, sizes = _acyclic_subcomplex(complex_.facets)
-    cells, boundary, signs = _relative_cells(complex_.facets, inside, star)
+    cells, boundary = _relative_cells(complex_.facets, inside, star)
     live = _remove_pairs(boundary)
 
     relative = [0] * (top + 1)
@@ -471,7 +461,8 @@ def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
         if live[c]:
             leftover[k] += 1
             matrices[k].update(
-                ((y, c), s) for y, s in zip(boundary[c], signs[c]) if live[y]
+                ((y, c), (-1) ** sum(map(eq, face, cells[y])))
+                for y in boundary[c] if live[y]
             )
     ranks = [0] * (top + 2)  # ranks[k]: rank of the restricted d_k
     invariants = [()] * (top + 2)

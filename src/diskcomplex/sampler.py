@@ -174,9 +174,8 @@ def max_simplex_probe(sample: GammaSample) -> int:
     on a genus g surface with one boundary has at most 3g - 2 curves, so
     any simplex here has dimension at most 3g - 3.
     """
-    g = sample.surface.genus
-    bound = 3 * g - 3
-    top = max(len(f) for f in sample.complex.facets) - 1
+    bound = 3 * sample.surface.genus - 3
+    top = sample.complex.dimension
     if top > bound:
         raise InternalInvariantError(
             f"sample contains a {top}-simplex above the bound {bound}"

@@ -369,6 +369,26 @@ class TestPersistence:
             load_document(path)
 
 
+class TestUnwritableOut:
+    @pytest.mark.parametrize("build", [
+        ["bbm", "build", "-g", "2"],
+        ["gamma", "sample", "-g", "2", "-L", "2"],
+    ], ids=["bbm", "gamma"])
+    @pytest.mark.parametrize("where", ["missing_parent", "directory"])
+    def test_exits_two(self, capsys, tmp_path, build, where):
+        path = tmp_path
+        if where == "missing_parent":
+            path = tmp_path / "absent" / "x.json"
+        code, out, err = cap(capsys, build + ["--out", str(path)])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: cannot write document ")
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "absent").exists()
+
+
 class TestDependencies:
     def test_cli_import_loads_no_networkx(self):
         # no runtime dependency: every module the import loads is from

@@ -15,6 +15,7 @@ from diskcomplex import (
     flag_from_graph,
     pseudomanifold_check,
     reduced_homology,
+    sample_gamma,
     smith_normal_form,
 )
 from oracles import (
@@ -280,6 +281,14 @@ class TestReducedHomology:
         assert_matches_references(build_complex(chain2).complex)
         assert_matches_references(build_complex(chain3).complex, oracle=False)
 
+    def test_genus_three_sample(self, chain3):
+        # 54 relative cells reach the Smith form here, and the signs of
+        # their incidences decide that it finds no torsion
+        profile = reduced_homology(sample_gamma(chain3, 5).complex)
+        assert profile.betti == (0, 0, 32, 2, 0, 0)
+        assert profile.torsion == ((),) * 6
+        assert profile.cells == (105, 813, 2157, 2506, 1380, 292)
+
     def test_boundary_squares_to_zero(self):
         c = SimplicialComplex.from_facets(OCTAHEDRON)
         faces = [faces_of(c.facets, k) for k in range(3)]
@@ -391,6 +400,14 @@ class TestAcyclicSubcomplex:
         assert acyclic_facets([(0, 1), (2,)]) == [(0, 1)]
         assert reduced_homology(
             SimplicialComplex.from_facets([(0,), (1,)])).acyclic == 1
+        # the first vertex joins with R empty; (0, 1) has R = {1}, as its
+        # ridge (0,) is in A; the lone vertex (2,) has R = F, as its one
+        # ridge, the empty face, is in A
+        c = SimplicialComplex.from_facets([(0,), (0, 1), (2,)])
+        inside, _, sizes = complexes._acyclic_subcomplex(c.facets)
+        assert tuple(inside) == (True, True, False)
+        assert tuple(sizes) == (1, 2, 1)
+        assert reduced_homology(c).betti == (1, 0)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_relabelled_projective_planes_keep_their_torsion(self, seed):
