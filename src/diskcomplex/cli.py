@@ -32,8 +32,10 @@ violated internal invariant, which means a bug, not bad input.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -126,10 +128,31 @@ def write_document(path: Path, doc: dict) -> None:
         raise DomainError(f"cannot write document {path}: {exc}") from exc
 
 
+def check_writable(path: Path) -> None:
+    """Raise, before any work, the error write_document would raise when
+    the path is a directory or its parent is not a writable directory."""
+    path = Path(path)
+    parent = path.parent
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not parent.exists():
+        code = errno.ENOENT
+    elif not parent.is_dir():
+        code = errno.ENOTDIR
+    elif not os.access(path if path.exists() else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    exc = OSError(code, os.strerror(code), str(path))
+    raise DomainError(f"cannot write document {path}: {exc}")
+
+
 # ---------------------------------------------------------------- commands
 
 
 def cmd_bbm_build(args) -> list:
+    if args.out is not None:
+        check_writable(args.out)
     t0 = time.monotonic()
     build = build_complex(chain_surface(args.genus))
     if args.out is None and not args.json:
@@ -249,6 +272,8 @@ def cmd_split(args) -> list:
 
 
 def cmd_gamma_sample(args) -> list:
+    if args.out is not None:
+        check_writable(args.out)
     t0 = time.monotonic()
     surface = chain_surface(args.genus)
     sample = sample_gamma(surface, args.budget, cap=args.cap,

@@ -35,7 +35,8 @@ class Side(Enum):
 
 def kill_word(word, side: Side) -> tuple:
     """Image of a word under filling one side's meridian disks."""
-    survivors = tuple(l for l in word if abs(l) % 2 != side.killed_parity)
+    killed = side.killed_parity
+    survivors = tuple(l for l in word if abs(l) % 2 != killed)
     return cyclic_reduce(survivors)
 
 

@@ -42,6 +42,17 @@ u[s+k], -v[j-1-k] and -u[s+k-1]).  At m = 0 this is the tripod at the
 base, where -u[s-1] is the first letter of B_u.  The configuration is
 linked when the two orientations differ.
 
+Most configurations have m = k = 0: the first letter a = u[s] of F_u is
+neither b = v[j] nor c = -v[j-1], the first letters of F_v and B_v.  Both
+triples are then the tripods (a, b, back) and (a, c, back) at the base,
+with back = -u[s-1], and no ray is spelled out.  They are read from the
+table CyclicOrder._ahead, where _ahead[x][y] counts the counterclockwise
+steps from x to y, so that x, y, z run counterclockwise exactly when
+_ahead[x][y] < _ahead[x][z]: with d = _ahead[a], the configuration is
+linked when d[b] < d[back] and d[c] < d[back] differ.  Only a
+configuration where a opens a v-ray builds the repeated words and counts
+the agreeing letters.
+
 Rays are compared letterwise to the horizon p + q + 2; by Fine and Wilf,
 two distinct axes agreeing that far would be powers of a common word.
 Under pinning this cannot happen on valid input: F_u agreeing with F_v to
@@ -123,10 +134,6 @@ def cyclic_reduce(letters) -> Word:
     return w[lo:hi]
 
 
-def _key_seq(word):
-    return tuple(letter_key(l) for l in word)
-
-
 def key_letter(key: int) -> int:
     """The letter at a letter_key position; the inverse of key x is x ^ 1."""
     return -(key // 2 + 1) if key & 1 else key // 2 + 1
@@ -141,7 +148,8 @@ def canonical_unoriented(letters) -> Word:
     w = cyclic_reduce(letters)
     if not w:
         raise TrivialWordError("word reduces to the identity")
-    k = _key_seq(w)
+    # letter_key without its check: cyclic_reduce has rejected the letter 0
+    k = tuple([2 * l - 2 if l > 0 else -2 * l - 1 for l in w])
     inv = tuple(x ^ 1 for x in reversed(k))
     n = len(k)
     best = min(d[s:s + n] for d in (k + k, inv + inv) for s in range(n))
@@ -149,7 +157,7 @@ def canonical_unoriented(letters) -> Word:
 
 
 def shortlex_key(word):
-    return (len(word), _key_seq(word))
+    return (len(word), tuple(map(letter_key, word)))
 
 
 # ---------------------------------------------------------------- parsing
@@ -249,7 +257,13 @@ class CyclicOrder:
             range(1, n // 2 + 1)
         ):
             raise CurveError("order must list +-1..+-rank once each")
-        object.__setattr__(self, "_pos", {l: i for i, l in enumerate(self.letters)})
+        pos = {l: i for i, l in enumerate(self.letters)}
+        # _ahead[x][y]: steps from x to y counterclockwise, so that x, y, z
+        # are counterclockwise exactly when _ahead[x][y] < _ahead[x][z]
+        object.__setattr__(self, "_ahead", {
+            x: {y: (pos[y] - pos[x]) % n for y in self.letters}
+            for x in self.letters
+        })
 
     @property
     def rank(self) -> int:
@@ -257,10 +271,8 @@ class CyclicOrder:
 
     def cyc(self, x: int, y: int, z: int) -> int:
         """+1 when the ccw arc from x to z passes y, else -1; x, y, z distinct."""
-        pos = self._pos
-        n = len(self.letters)
-        ax = pos[x]
-        return 1 if (pos[y] - ax) % n < (pos[z] - ax) % n else -1
+        d = self._ahead[x]
+        return 1 if d[y] < d[z] else -1
 
 
 # -------------------------------------------------- linked pair machinery
@@ -277,22 +289,35 @@ def _agreement(a, i, b, j, horizon: int) -> int:
 def _linked_configurations(order, u, v):
     """Yield each pinned, linked configuration (s, j) of primitive u, v."""
     p, q = len(u), len(v)
-    horizon = p + q + 2
-    # whole periods, long enough that no index below needs % (and uu[-1]
-    # is u[p - 1]); the backward v-ray from shift j reads iv from q - j
-    uu = u * (horizon // p + 2)
-    vv = v * (horizon // q + 2)
-    iv = inverse(v) * (horizon // q + 2)
-    cyc = order.cyc
+    ahead = order._ahead
+    uu = None
     for s in range(p):
-        back = -u[s - 1]
+        a, back = u[s], -u[s - 1]
+        d = ahead[a]
+        behind = d[back]
         for j in range(q):
+            b, c = v[j], -v[j - 1]
             # pinning: configurations where the backward u-ray runs along
             # the v-axis describe the same crossing shifted along the
             # common segment; count only the segment's start (this also
             # drops s == j when u == v, where the two axes coincide)
-            if back == v[j] or back == -v[j - 1]:
+            if back == b or back == c:
                 continue
+            if a != b and a != c:
+                # the forward u-ray leaves both v-rays at the base (m = k
+                # = 0): the tripods (a, b, back) and (a, c, back) decide
+                if (d[b] < behind) != (d[c] < behind):
+                    yield s, j
+                continue
+            if uu is None:
+                # whole periods, long enough that no index below needs %
+                # (and uu[-1] is u[p - 1]); the backward v-ray from shift
+                # j reads iv from q - j
+                horizon = p + q + 2
+                uu = u * (horizon // p + 2)
+                vv = v * (horizon // q + 2)
+                iv = inverse(v) * (horizon // q + 2)
+                cyc = order.cyc
             # the backward u-ray leaves the other three rays at the base,
             # so each side is read where the forward u-ray parts from it
             m = _agreement(uu, s, vv, j, horizon)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from diskcomplex import cli
 from diskcomplex.cli import (
     SCHEMA_BBM,
     SCHEMA_GAMMA,
@@ -387,6 +388,35 @@ class TestUnwritableOut:
         assert str(path) in err
         assert "Traceback" not in err
         assert not (tmp_path / "absent").exists()
+
+    @pytest.mark.parametrize("build", [
+        ["bbm", "build", "-g", "5"],
+        ["gamma", "sample", "-g", "3", "-L", "6", "--cap", "100000000"],
+    ], ids=["bbm", "gamma"])
+    @pytest.mark.parametrize("where", ["missing_parent", "parent_is_a_file",
+                                       "directory"])
+    def test_checked_before_the_work(self, capsys, tmp_path, monkeypatch,
+                                     build, where):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the --out check")
+
+        monkeypatch.setattr(cli, "build_complex", no_work)
+        monkeypatch.setattr(cli, "sample_gamma", no_work)
+        (tmp_path / "file").write_text("")
+        path = {
+            "missing_parent": tmp_path / "absent" / "x.json",
+            "parent_is_a_file": tmp_path / "file" / "x.json",
+            "directory": tmp_path,
+        }[where]
+        reason = {
+            "missing_parent": "[Errno 2] No such file or directory",
+            "parent_is_a_file": "[Errno 20] Not a directory",
+            "directory": "[Errno 21] Is a directory",
+        }[where]
+        code, out, err = cap(capsys, build + ["--out", str(path)])
+        assert (code, out) == (2, "")
+        # the line write_document prints when the write itself fails
+        assert err == f"error: cannot write document {path}: {reason}: '{path}'\n"
 
 
 class TestDependencies:

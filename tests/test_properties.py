@@ -15,6 +15,7 @@ from diskcomplex import (
     CurveClass,
     Side,
     algebraic_intersection,
+    build_complex,
     canonical_unoriented,
     chain_surface,
     dies_on,
@@ -24,6 +25,7 @@ from diskcomplex import (
     sample_gamma,
     self_intersection,
 )
+from diskcomplex import words as words_module
 from diskcomplex.sampler import _dying_classes
 from diskcomplex.words import _linked_configurations
 from oracles import canonical_class, crossings_by_rays
@@ -198,6 +200,80 @@ class TestCrossingCountAgainstRays:
                 assert len(linked) == crossings_by_rays(order, u, v), (u, v)
                 assert len(set(linked)) == len(linked)
                 assert all(0 <= i < len(u) and 0 <= j < len(v) for i, j in linked)
+
+
+def shared_letter(u, v, s, j) -> bool:
+    """Whether the unpinned configuration (s, j) makes the forward u-ray
+    start along a v-ray, so the scan must spell the two out."""
+    return u[s] in (v[j], -v[j - 1])
+
+
+def unpinned(u, v):
+    return [
+        (s, j) for s in range(len(u)) for j in range(len(v))
+        if -u[s - 1] not in (v[j], -v[j - 1])
+    ]
+
+
+class TestTableAndSharedLetterBranches:
+    """Configurations whose forward u-ray shares no first letter with a
+    v-ray are tripods at the base, read from CyclicOrder._ahead; the others
+    spell their rays out with _agreement.  Both branches are checked against
+    the ray-by-ray count on every pair and self pair of two vertex sets."""
+
+    @pytest.fixture(scope="class", params=["sample-3-4", "intervals-4"])
+    def roots(self, request):
+        if request.param == "sample-3-4":
+            surface = SURFACES[3]
+            classes = sample_gamma(surface, 4).vertices
+        else:
+            surface = SURFACES[4]
+            classes = [v.curve for v in build_complex(surface).vertices]
+        roots = [c.root_and_power()[0].letters for c in classes]
+        return surface.rose_order, roots
+
+    def test_against_rays_on_every_pair(self, roots, monkeypatch):
+        order, roots = roots
+        calls = []
+        agreement = words_module._agreement
+
+        def spy(*args):
+            calls.append(args)
+            return agreement(*args)
+
+        monkeypatch.setattr(words_module, "_agreement", spy)
+        seen = {(shared, linked): 0 for shared in (0, 1) for linked in (0, 1)}
+        for a, u in enumerate(roots):
+            for v in roots[a:]:
+                want = crossings_by_rays(order, u, v)
+                assert any(_linked_configurations(order, u, v)) == (want > 0)
+                del calls[:]
+                linked = set(_linked_configurations(order, u, v))
+                assert len(linked) == want, (u, v)
+                shared = [c for c in unpinned(u, v) if shared_letter(u, v, *c)]
+                # two agreement scans per shared-letter configuration, none
+                # for a configuration read from the table
+                assert len(calls) == 2 * len(shared), (u, v)
+                for c in unpinned(u, v):
+                    seen[shared_letter(u, v, *c), c in linked] += 1
+        # each branch both keeps and drops configurations
+        assert min(seen.values()) > 100, seen
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_ahead_orients_as_cyc(self, genus):
+        # reference: y comes before z on the counterclockwise walk from x
+        order = chain_surface(genus).rose_order
+        letters = order.letters
+        assert len(order._ahead) == len(letters) == 4 * genus
+        for i, x in enumerate(letters):
+            d = order._ahead[x]
+            walk = letters[i:] + letters[:i]
+            for y in letters:
+                for z in letters:
+                    if len({x, y, z}) == 3:
+                        ccw = walk.index(y) < walk.index(z)
+                        assert (d[y] < d[z]) == ccw
+                        assert order.cyc(x, y, z) == (1 if ccw else -1)
 
 
 class TestSimplicityAgainstTheExactCount:
