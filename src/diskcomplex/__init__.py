@@ -32,7 +32,7 @@ from .errors import (
     TrivialWordError,
     UnsupportedCut,
 )
-from .handles import Side, bounds_disk_sides, dies_on, kill_word
+from .handles import Side, bounds_disk_sides, dies_on, disk_vertices, kill_word
 from .intervals import (
     Interval,
     IntervalComplexBuild,
@@ -128,6 +128,7 @@ __all__ = [
     "cyclic_reduce",
     "dies_on",
     "dims",
+    "disk_vertices",
     "flag_from_graph",
     "free_reduce",
     "geometric_intersection",

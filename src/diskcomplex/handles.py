@@ -1,4 +1,4 @@
-"""Disk-bounding predicates for the two handlebody sides.
+"""Disk vertices: the classes that bound a disk on a handlebody side.
 
 For the standardly embedded chain surface, each side is a handlebody
 determined by which chain circles bound meridian disks there: side O
@@ -6,22 +6,23 @@ takes the odd-index circles, side E the even ones.  On the level of the
 free fundamental group, filling side-X disks kills its generators, so a
 class bounds a disk on side X exactly when deleting the killed letters
 from (a cyclic representative of) its word leaves nothing after free and
-cyclic reduction.
+cyclic reduction.  Side.kills is the one statement of that rule.
 
-A class is a disk vertex when it is simple, essential, and dies on some
-side; by Dehn's lemma the algebraic condition then certifies an embedded
-compressing disk.  bounds_disk_sides is the one test for this: it
-returns the sides for a disk vertex and the empty set for every other
-class, peripheral and non-simple ones included.  Simplicity is decided
-by words.is_simple, which stops at the first self-crossing it finds;
-the exact count self_intersection is not needed for a yes-or-no answer.
+A class is a disk vertex when it is simple, essential (a CurveClass is
+never trivial, so: not the boundary class), and dies on some side; by
+Dehn's lemma the algebraic condition then certifies an embedded
+compressing disk.  bounds_disk_sides tests one class: it returns the
+sides for a disk vertex and the empty set for every other class.
+disk_vertices generates the disk vertices up to a word length, each
+with the sides its class search decided.  Both pass the same gate, whose
+words.is_simple stops at the first self-crossing it finds.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .words import CurveClass, cyclic_reduce, is_essential, is_simple
+from .words import CurveClass, cyclic_reduce, is_simple, key_letter
 
 
 class Side(Enum):
@@ -32,27 +33,95 @@ class Side(Enum):
     def killed_parity(self) -> int:
         return 1 if self is Side.O else 0
 
+    def kills(self, letter: int) -> bool:
+        return abs(letter) % 2 == self.killed_parity
+
 
 def kill_word(word, side: Side) -> tuple:
     """Image of a word under filling one side's meridian disks."""
-    killed = side.killed_parity
-    survivors = tuple(l for l in word if abs(l) % 2 != killed)
-    return cyclic_reduce(survivors)
+    return cyclic_reduce(tuple(l for l in word if not side.kills(l)))
 
 
 def dies_on(word, side: Side) -> bool:
     return not kill_word(word, side)
 
 
+def _is_disk_class(surface, c: CurveClass) -> bool:
+    return c != surface.boundary_class and is_simple(surface, c)
+
+
 def bounds_disk_sides(surface, curve) -> frozenset:
     """Sides on which the class bounds a disk; empty unless a disk vertex.
 
-    The linear side test runs first, so the costlier simplicity test only
-    runs on classes that die on a side, and it stops at the first linked
-    configuration of the class's root with itself.
+    The linear side test runs first, so the simplicity gate only sees
+    classes that die on a side.
     """
     c = CurveClass.coerce(curve, 2 * surface.genus)
     sides = frozenset(side for side in Side if dies_on(c.letters, side))
-    if sides and is_essential(surface, c) and is_simple(surface, c):
+    if sides and _is_disk_class(surface, c):
         return sides
     return frozenset()
+
+
+def _dying_classes(rank: int, max_len: int):
+    """(canonical word, frozenset of Sides it dies on) for each class of
+    length 1..max_len that dies on a side.  The search is depth first
+    over prenecklaces (Fredricksen-Kessler-Maiorana, in the form of
+    Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 2000) in the
+    letter_key alphabet 0..2*rank-1, where the inverse of key x is x ^ 1
+    and no key is placed after its inverse.  A prefix a[1..n] whose
+    longest Lyndon prefix has length p is its own least rotation exactly
+    when p divides n; it is the canonical word of its class when, in
+    addition, its last key does not cancel its first (it is cyclically
+    reduced) and no rotation of its inverse is smaller.
+
+    Each side keeps a stack of the prefix's letters it does not kill,
+    freely reduced.  A suffix of k letters cancels at most k survivors, so
+    once both stacks are longer than the max_len - n letters still
+    allowed, the prefix is pruned.  A freely reduced word is empty after
+    cyclic reduction exactly when it is empty, so a class dies on exactly
+    the sides whose stacks are empty.
+    """
+    a = [0] * (max_len + 1)  # a[0] = 0 starts the recursion with p = 1
+    survivors = ([], [])  # freely reduced survivors, by Side.killed_parity
+    home = [survivors[side.killed_parity] for x in range(2 * rank)
+            for side in Side if not side.kills(key_letter(x))]
+
+    def extend(t, p):
+        n = t - 1
+        if (n and n % p == 0 and a[n] ^ 1 != a[1]
+                and not (survivors[0] and survivors[1])):
+            word = tuple(a[1:t])
+            inv = tuple(x ^ 1 for x in reversed(word)) * 2
+            if all(word <= inv[s:s + n] for s in range(n)):
+                yield tuple(map(key_letter, word)), frozenset(
+                    side for side in Side if not survivors[side.killed_parity])
+        if n == max_len:
+            return
+        rest = max_len - t
+        for x in range(a[t - p], 2 * rank):
+            if n and x == a[n] ^ 1:
+                continue
+            a[t] = x
+            stack = home[x]
+            cancels = bool(stack) and stack[-1] == x ^ 1
+            if cancels:
+                stack.pop()
+            else:
+                stack.append(x)
+            if len(survivors[0]) <= rest or len(survivors[1]) <= rest:
+                yield from extend(t + 1, p if x == a[t - p] else t)
+            if cancels:
+                stack.append(x ^ 1)
+            else:
+                stack.pop()
+
+    yield from extend(1, 1)
+
+
+def disk_vertices(surface, max_len: int):
+    """(CurveClass, sides) for each disk vertex of word length 1..max_len."""
+    for word, sides in _dying_classes(2 * surface.genus, max_len):
+        c = CurveClass(word)
+        if _is_disk_class(surface, c):
+            yield c, sides

@@ -94,13 +94,12 @@ class OddChoice:
     rejected: CurveClass
     predicted: Side
     ambiguous: bool  # both components qualified and were distinct
-    sides: frozenset  # bounds_disk_sides of the chosen class
 
 
 def x_curve(surface: ChainSurface, interval: Interval):
-    """Class of the selected boundary component of N_J, with choice record.
+    """Class of the selected boundary component of N_J, with its sides.
 
-    Returns (CurveClass, OddChoice or None).
+    Returns (CurveClass, bounds_disk_sides of it, OddChoice or None).
     """
     classes = []
     for walk in interval_walks(surface, interval):
@@ -112,7 +111,7 @@ def x_curve(surface: ChainSurface, interval: Interval):
             raise InternalInvariantError(f"peripheral frontier for {interval}")
         classes.append(c)
     if len(classes) == 1:
-        return classes[0], None
+        return classes[0], bounds_disk_sides(surface, classes[0]), None
 
     predicted = interval.predicted_side
     sides = {c: bounds_disk_sides(surface, c) for c in set(classes)}
@@ -130,9 +129,8 @@ def x_curve(surface: ChainSurface, interval: Interval):
         rejected=rejected,
         predicted=predicted,
         ambiguous=len(dying) == 2 and dying[0] != dying[1],
-        sides=sides[chosen],
     )
-    return chosen, choice
+    return chosen, sides[chosen], choice
 
 
 @dataclass(frozen=True)
@@ -154,9 +152,7 @@ def bbm_vertices(surface: ChainSurface):
     choices = []
     seen: dict = {}
     for interval in all_intervals(surface.genus):
-        curve, choice = x_curve(surface, interval)
-        # x_curve has tested both components of an odd interval already
-        sides = bounds_disk_sides(surface, curve) if choice is None else choice.sides
+        curve, sides, choice = x_curve(surface, interval)
         if interval.predicted_side not in sides:
             raise InternalInvariantError(
                 f"frontier of {interval} is not a simple essential class "

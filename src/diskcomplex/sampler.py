@@ -4,17 +4,14 @@ The full complex of disk-bounding curve classes is infinite, so finite
 experiments take all classes up to a word length budget that bound a
 disk on at least one side, and build the flag complex of the
 disjointness graph on the sample, whose edges words.disjoint_pairs
-decides.  Only the classes that die on a side
-are generated: the class search keeps each side's surviving letters
-freely reduced and prunes a prefix once both stacks are longer than the
-number of letters still allowed, because a suffix of k letters cancels
-at most k survivors.  Each generated class is then checked by
-bounds_disk_sides, simplicity included.  Probes of that complex are
-advisory by construction: a finite full subcomplex can have extra
-homology and can miss simplices, so the probe results carry an explicit
-conclusive=False and the one bound that is universal (at most 3g - 3 + b
-pairwise disjoint distinct classes fit on the surface, so simplices have
-dimension at most 3g - 4 + b) is enforced as an invariant.
+decides.  The classes and their sides come from handles.disk_vertices,
+which decides each class's sides once, in its class search.  Probes of
+that complex are advisory by construction: a finite full subcomplex can
+have extra homology and can miss simplices, so the probe results carry
+an explicit conclusive=False and the one bound that is universal (at
+most 3g - 3 + b pairwise disjoint distinct classes fit on the surface,
+so simplices have dimension at most 3g - 4 + b) is enforced as an
+invariant.
 
 The connectivity probe collapses the disjointness graph before it builds
 any face.  An edge uv is dominated when a third vertex is adjacent to
@@ -38,65 +35,9 @@ from .complexes import (
     reduced_homology,
 )
 from .errors import BudgetError, CurveError, DomainError, InternalInvariantError
-from .handles import bounds_disk_sides
+from .handles import bounds_disk_sides, disk_vertices
 from .ribbon import ChainSurface
-from .words import CurveClass, disjoint_pairs, key_letter
-
-
-def _dying_classes(rank: int, max_len: int):
-    """Canonical words of the classes of length 1..max_len that die on a side.
-
-    Each such class is yielded once, by its canonical word.  The search is
-    depth first over prenecklaces (Fredricksen-Kessler-Maiorana, in the
-    form of Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 2000)
-    in the letter_key alphabet 0..2*rank-1, where the inverse of key x is
-    x ^ 1 and no key is placed after its inverse.  A prefix a[1..n] whose
-    longest Lyndon prefix has length p is its own least rotation exactly
-    when p divides n; it is the canonical word of its class when, in
-    addition, its last key does not cancel its first (it is cyclically
-    reduced) and no rotation of its inverse is smaller.
-
-    The search is bounded by the side test.  Each side keeps a stack of
-    the prefix's surviving letters, freely reduced: odd generators (keys
-    with (x >> 1) & 1 == 0) survive on side E, even ones on side O.  A
-    suffix of k letters cancels at most k survivors, so once both stacks
-    are longer than the max_len - n letters still allowed, no extension
-    dies on either side and the prefix is pruned.  A canonical word is
-    yielded only when one of its stacks is empty: a freely reduced word is
-    empty after cyclic reduction exactly when it is empty.
-    """
-    a = [0] * (max_len + 1)  # a[0] = 0 starts the recursion with p = 1
-    survivors = ([], [])  # freely reduced survivors on sides E and O
-
-    def extend(t, p):
-        n = t - 1
-        if (n and n % p == 0 and a[n] ^ 1 != a[1]
-                and not (survivors[0] and survivors[1])):
-            word = tuple(a[1:t])
-            inv = tuple(x ^ 1 for x in reversed(word)) * 2
-            if all(word <= inv[s:s + n] for s in range(n)):
-                yield tuple(map(key_letter, word))
-        if n == max_len:
-            return
-        rest = max_len - t
-        for x in range(a[t - p], 2 * rank):
-            if n and x == a[n] ^ 1:
-                continue
-            a[t] = x
-            stack = survivors[(x >> 1) & 1]
-            cancels = bool(stack) and stack[-1] == x ^ 1
-            if cancels:
-                stack.pop()
-            else:
-                stack.append(x)
-            if len(survivors[0]) <= rest or len(survivors[1]) <= rest:
-                yield from extend(t + 1, p if x == a[t - p] else t)
-            if cancels:
-                stack.append(x ^ 1)
-            else:
-                stack.pop()
-
-    yield from extend(1, 1)
+from .words import CurveClass, disjoint_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,18 +59,15 @@ def sample_gamma(
 ) -> GammaSample:
     """All disk-bounding classes of word length <= budget, plus includes.
 
-    Only the classes of length <= budget that die on a side are generated
-    (a prefix is pruned once both sides' freely reduced survivors are
-    longer than the letters still allowed), each once, by its canonical
-    word.  Each is streamed once through bounds_disk_sides, whose sides
-    are kept with each class it accepts.  n_enumerated is the number of
+    The classes of length <= budget and their sides come from
+    handles.disk_vertices, each once.  n_enumerated is the number of
     freely reduced words of length 1..budget, the sum over k <= budget of
     4g(4g-1)^(k-1), which those classes stand for.  cap bounds that count,
     and the check runs before anything is enumerated, so an accidental
     budget=30 raises BudgetError at once.  Classes in include join the
-    sample regardless of length but must themselves be disk-bounding.
+    sample regardless of length but must pass bounds_disk_sides.
     """
-    if not isinstance(budget, int) or budget < 1:
+    if type(budget) is not int or budget < 1:
         raise DomainError("budget must be a positive word length")
     rank = 2 * surface.genus
     count, words = 0, 2 * rank
@@ -142,11 +80,7 @@ def sample_gamma(
             )
         words *= 2 * rank - 1
 
-    verts = {
-        c: sides
-        for c in map(CurveClass, _dying_classes(rank, budget))
-        if (sides := bounds_disk_sides(surface, c))
-    }
+    verts = dict(disk_vertices(surface, budget))
     for item in include:
         c = CurveClass.coerce(item, rank=rank)
         sides = bounds_disk_sides(surface, c)

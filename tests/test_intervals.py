@@ -76,27 +76,30 @@ class TestFrontierWalks:
     def test_odd_choice_records(self, chain2):
         # [1,3]: both components die on the predicted side O and the
         # shortlex rule picks the shorter one
-        c, choice = x_curve(chain2, Interval(1, 3, 4))
+        c, sides, choice = x_curve(chain2, Interval(1, 3, 4))
         assert c.letters == (1, -3)
+        assert sides == {Side.O}
         assert choice.rejected.letters == (1, 2, -3, -2)
         assert choice.predicted is Side.O
         assert choice.ambiguous
 
-        c, choice = x_curve(chain2, Interval(2, 4, 4))
+        c, sides, choice = x_curve(chain2, Interval(2, 4, 4))
         assert c.letters == (2, -4)
+        assert sides == {Side.E}
         assert choice.rejected.letters == (2, 3, -4, -3)
         assert choice.predicted is Side.E
         assert choice.ambiguous
 
     def test_singleton_choices_are_unambiguous(self, chain2):
         for i in range(1, 5):
-            c, choice = x_curve(chain2, Interval(i, i, 4))
+            c, _, choice = x_curve(chain2, Interval(i, i, 4))
             assert c.letters == (i,)
             assert not choice.ambiguous
 
     def test_even_interval_has_no_choice(self, chain2):
-        c, choice = x_curve(chain2, Interval(1, 2, 4))
+        c, sides, choice = x_curve(chain2, Interval(1, 2, 4))
         assert choice is None
+        assert sides == {Side.O, Side.E}
         assert c.letters == (1, 2, -1, -2)
 
 
@@ -144,15 +147,16 @@ class TestBrokenFrontierIsAnInvariantFailure:
     def test_vertex_that_is_not_a_disk_vertex(self, chain2, monkeypatch, letters):
         curve = chain2.boundary_class if letters is None else CurveClass(letters)
         monkeypatch.setattr(
-            "diskcomplex.intervals.x_curve", lambda surface, interval: (curve, None))
+            "diskcomplex.intervals.x_curve",
+            lambda surface, interval: (curve, bounds_disk_sides(surface, curve), None))
         with pytest.raises(InternalInvariantError, match="not a simple essential"):
             bbm_vertices(chain2)
 
 
 class TestOneDiskTestPerClass:
     def test_each_frontier_class_is_tested_once(self, monkeypatch):
-        # x_curve tests both components of an odd interval, and
-        # bbm_vertices reuses the chosen one's sides from the OddChoice
+        # x_curve tests both components of an odd interval and the one of
+        # an even interval, and bbm_vertices takes the sides it returns
         calls = collections.Counter()
 
         def counting(surface, curve):

@@ -1,5 +1,6 @@
 """Bounded enumeration of disk-bounding classes and simplex probes."""
 
+import collections
 import time
 
 import pytest
@@ -8,6 +9,7 @@ from diskcomplex import (
     BudgetError,
     CurveClass,
     CurveError,
+    DomainError,
     Side,
     algebraic_intersection,
     bbm_vertices,
@@ -19,9 +21,11 @@ from diskcomplex import (
     reduced_homology,
     sample_gamma,
 )
+import diskcomplex.handles as handles
+import diskcomplex.sampler as sampler
 import diskcomplex.words as words
 from diskcomplex.words import disjoint_pairs
-from diskcomplex.sampler import _dying_classes
+from diskcomplex.handles import _dying_classes, disk_vertices
 from oracles import canonical_class, dies_on_side, reduced_words
 from test_complexes import assert_collapse_keeps_homology
 
@@ -96,6 +100,12 @@ class TestSampleGamma:
         with pytest.raises(CurveError, match="bounds no disk"):
             sample_gamma(chain2, 1, include=classes((1, 2)))
 
+    @pytest.mark.parametrize("budget", [0, -1, 2.0, "3", True, False])
+    def test_budget_must_be_a_positive_int(self, chain2, budget):
+        # a bool is an int to isinstance, and True would sample L = 1
+        with pytest.raises(DomainError, match="positive word length"):
+            sample_gamma(chain2, budget)
+
     def test_cap_overflow_raises(self, chain2):
         with pytest.raises(BudgetError, match="cap of 500"):
             sample_gamma(chain2, 12, cap=500)
@@ -109,13 +119,25 @@ class TestClassEnumeration:
     @pytest.mark.parametrize("genus, budget", BRUTE)
     def test_one_canonical_word_per_class(self, genus, budget):
         # exactly the classes that die on a side, each by its canonical word
-        generated = list(_dying_classes(2 * genus, budget))
-        assert len(generated) == len(set(generated))
+        # and with the sides it dies on
+        generated = [(w, {s.value for s in sides})
+                     for w, sides in _dying_classes(2 * genus, budget)]
+        assert len(generated) == len({w for w, _ in generated})
         brute = {
-            canonical_class(w) for w in reduced_words(2 * genus, budget)
-            if dies_on_side(w, "O") or dies_on_side(w, "E")
+            canonical_class(w): {s for s in "OE" if dies_on_side(w, s)}
+            for w in reduced_words(2 * genus, budget)
         }
-        assert set(generated) == brute
+        assert dict(generated) == {w: s for w, s in brute.items() if s}
+
+    @pytest.mark.parametrize("genus, budget", BRUTE)
+    def test_disk_vertices_are_the_dying_classes_bounds_disk_sides_keeps(
+            self, genus, budget):
+        surface = chain_surface(genus)
+        want = {}
+        for w, _ in _dying_classes(2 * genus, budget):
+            if sides := bounds_disk_sides(surface, CurveClass(w)):
+                want[CurveClass(w)] = sides
+        assert dict(disk_vertices(surface, budget)) == want
 
     def test_pruned_search_size(self):
         # 2,047 of the 18,229 classes of length <= 5 at genus 3 die on a side
@@ -126,6 +148,12 @@ class TestClassEnumeration:
         assert len(s.vertices) == 65
         assert len(s.edges) == 247
         assert len(s.complex.facets) == 114
+
+    @pytest.mark.parametrize("genus, budget, cap", [(2, 7, 2 * 10**6), (3, 5, 10**6)])
+    def test_search_sides_are_the_disk_test_sides(self, genus, budget, cap):
+        surface = chain_surface(genus)
+        s = sample_gamma(surface, budget, cap=cap)
+        assert s.sides == tuple(bounds_disk_sides(surface, c) for c in s.vertices)
 
     @pytest.mark.parametrize("genus, budget", BRUTE)
     def test_closed_form_count_is_the_word_count(self, genus, budget):
@@ -140,6 +168,36 @@ class TestClassEnumeration:
         with pytest.raises(BudgetError, match="cap of 1000000 "):
             sample_gamma(chain2, 30)
         assert time.monotonic() - t0 < 1.0
+
+
+class TestOneDecisionPerClass:
+    """sample_gamma takes each class's sides from the class search: it runs
+    no side test of its own and coerces each class at most twice, once in
+    the simplicity gate and, for a vertex, once in disjoint_pairs."""
+
+    def test_no_second_side_test(self, monkeypatch):
+        calls = collections.Counter()
+
+        def spy(owner, name):
+            fn = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+
+        spy(handles, "kill_word")
+        spy(handles, "bounds_disk_sides")
+        spy(sampler, "bounds_disk_sides")
+        coerce = CurveClass.coerce.__func__
+
+        def counting_coerce(cls, *args, **kwargs):
+            calls["coerce"] += 1
+            return coerce(cls, *args, **kwargs)
+        monkeypatch.setattr(CurveClass, "coerce", classmethod(counting_coerce))
+        s = sample_gamma(chain_surface(3), 5)
+        assert calls["kill_word"] == calls["bounds_disk_sides"] == 0
+        assert calls["coerce"] <= 2047 + len(s.vertices)
 
 
 class TestEdgesAgainstTheFullCount:
