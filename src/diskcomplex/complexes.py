@@ -59,7 +59,16 @@ from itertools import combinations, compress
 from math import comb
 from operator import and_, eq
 
-from .errors import DomainError
+from .errors import BudgetError, DomainError
+
+# The relative cells are read off every vertex subset of each facet outside
+# A, so their enumeration is bounded by the sum of 2^|F| over those facets,
+# at about 550 bytes a subset (a lone 20-vertex facet outside A takes 11 s
+# and 574 MB).  The largest sum met in practice is 1,095,544, on the g = 4,
+# L = 5 sample (the interval spheres need 2^(2g - 1), 2,048 at g = 6); this
+# limit leaves 10.9x room above it and refuses a lone facet outside A of 24
+# or more vertices.
+MAX_RELATIVE_SUBSETS = 12_000_000
 
 # ---------------------------------------------------------------- complex
 
@@ -128,12 +137,23 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
         if not cand and not done:
             cliques.append(clique)
             return
-        # the pivot covers the most candidates, so the fewest branches remain
-        pivot = max(_bits(cand | done), key=lambda u: (cand & adj[u]).bit_count())
-        for v in _bits(cand & ~adj[pivot]):
-            bit = 1 << v
+        # the pivot covers the most candidates, so the fewest branches
+        # remain; the first such vertex, lowest bit first
+        most, rest = -1, cand | done
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            u = low.bit_length() - 1
+            covered = (cand & adj[u]).bit_count()
+            if covered > most:
+                most, pivot = covered, u
+        rest = cand & ~adj[pivot]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
             expand(clique | bit, cand & adj[v], done & adj[v])
-            cand &= ~bit
+            cand ^= bit
             done |= bit
 
     expand(0, (1 << len(order)) - 1, 0)
@@ -449,6 +469,14 @@ def reduced_homology(complex_: SimplicialComplex) -> HomologyProfile:
     """
     top = complex_.dimension
     inside, star, sizes = _acyclic_subcomplex(complex_.facets)
+    subsets = sum(1 << len(f) for f, joined in zip(complex_.facets, inside)
+                  if not joined)
+    if subsets > MAX_RELATIVE_SUBSETS:
+        raise BudgetError(
+            f"the {inside.count(False)} facets outside the acyclic subcomplex "
+            f"have {subsets} vertex subsets, above the limit of "
+            f"{MAX_RELATIVE_SUBSETS} that the relative cells may enumerate "
+            "in memory; the complex is too large for this computation")
     cells, boundary = _relative_cells(complex_.facets, inside, star)
     live = _remove_pairs(boundary)
 

@@ -14,15 +14,17 @@ Dehn's lemma the algebraic condition then certifies an embedded
 compressing disk.  bounds_disk_sides tests one class: it returns the
 sides for a disk vertex and the empty set for every other class.
 disk_vertices generates the disk vertices up to a word length, each
-with the sides its class search decided.  Both pass the same gate, whose
-words.is_simple stops at the first self-crossing it finds.
+with the sides its class search decided.  Both pass the same gate on a
+class's canonical letters (not the boundary word, and
+words.is_simple_word: not a proper power, no self-link), and
+disk_vertices builds a CurveClass only for the classes that pass it.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .words import CurveClass, cyclic_reduce, is_simple, key_letter
+from .words import CurveClass, cyclic_reduce, is_simple_word, key_letter
 
 
 class Side(Enum):
@@ -46,8 +48,10 @@ def dies_on(word, side: Side) -> bool:
     return not kill_word(word, side)
 
 
-def _is_disk_class(surface, c: CurveClass) -> bool:
-    return c != surface.boundary_class and is_simple(surface, c)
+def _is_disk_word(surface, letters) -> bool:
+    """The disk-vertex gate on the canonical letters of a class."""
+    return (letters != surface.boundary_class.letters
+            and is_simple_word(surface.rose_order, letters))
 
 
 def bounds_disk_sides(surface, curve) -> frozenset:
@@ -58,7 +62,7 @@ def bounds_disk_sides(surface, curve) -> frozenset:
     """
     c = CurveClass.coerce(curve, 2 * surface.genus)
     sides = frozenset(side for side in Side if dies_on(c.letters, side))
-    if sides and _is_disk_class(surface, c):
+    if sides and _is_disk_word(surface, c.letters):
         return sides
     return frozenset()
 
@@ -122,6 +126,5 @@ def _dying_classes(rank: int, max_len: int):
 def disk_vertices(surface, max_len: int):
     """(CurveClass, sides) for each disk vertex of word length 1..max_len."""
     for word, sides in _dying_classes(2 * surface.genus, max_len):
-        c = CurveClass(word)
-        if _is_disk_class(surface, c):
-            yield c, sides
+        if _is_disk_word(surface, word):
+            yield CurveClass(word), sides

@@ -45,13 +45,21 @@ linked when the two orientations differ.
 Most configurations have m = k = 0: the first letter a = u[s] of F_u is
 neither b = v[j] nor c = -v[j-1], the first letters of F_v and B_v.  Both
 triples are then the tripods (a, b, back) and (a, c, back) at the base,
-with back = -u[s-1], and no ray is spelled out.  They are read from the
-table CyclicOrder._ahead, where _ahead[x][y] counts the counterclockwise
-steps from x to y, so that x, y, z run counterclockwise exactly when
-_ahead[x][y] < _ahead[x][z]: with d = _ahead[a], the configuration is
-linked when d[b] < d[back] and d[c] < d[back] differ.  Only a
-configuration where a opens a v-ray builds the repeated words and counts
-the agreeing letters.
+with back = -u[s-1], and no ray is spelled out.  Such a configuration,
+its pinning and the shared-letter exclusion depend only on those four
+letters, so each CyclicOrder holds one table, _links: for each (a, back)
+the mask of the pairs (b, c) that are unpinned, neither of them a, and
+linked.  With S the letters that the counterclockwise walk from a passes
+before back, those are the pairs with exactly one of b, c in S, so the
+mask is the XOR of the rows over S and the columns over S, less the rows
+and columns of a and back.  A word w carries two masks (_tripod_masks):
+linked(w), the OR of the rows its shifts (w[s], -w[s-1]) name as
+(a, back), and present(w), the bits those shifts name as (b, c).  Some
+m = k = 0 configuration of (u, v) is linked exactly when
+linked(u) & present(v) is nonzero.  Only a configuration where a opens a
+v-ray (_shared_configurations) builds the repeated words and counts the
+agreeing letters, and cyc orients its triples from CyclicOrder._ahead,
+where _ahead[x][y] counts the counterclockwise steps from x to y.
 
 Rays are compared letterwise to the horizon p + q + 2; by Fine and Wilf,
 two distinct axes agreeing that far would be powers of a common word.
@@ -68,12 +76,15 @@ shifts places two distinct lifts of the one axis; the involution swapping
 the two strands pairs those configurations, so the count is even and is
 twice the self-intersection number SI(u).
 
-The linked configurations come from one generator.  Counts (pairwise
-intersection, self-intersection and its parity check) sum all of them,
-so they stay exact.  The two yes-or-no tests only ask whether there is
-one, and stop at the first: the edge test i == 0 of disjoint_pairs, and
-the simplicity test is_simple, which by the power formula below asks
-for a primitive class whose root is not linked with itself.
+The linked configurations come from the table and that generator.
+Counts (pairwise intersection, self-intersection and its parity check)
+list all of them, so they stay exact.  The two yes-or-no tests only ask
+whether there is one: the edge test i == 0 of disjoint_pairs, and the
+simplicity test is_simple, which by the power formula below asks for a
+primitive class whose root is not linked with itself (is_simple_word
+asks it of letters, with no CurveClass).  Each is one AND of tripod
+masks, then the shared-letter configurations, stopped at the first
+linked one.
 
 Non-primitive classes are handled by the power formulas: the count for
 r^a, s^b is ab times the count for their primitive roots r, s.  With
@@ -84,9 +95,11 @@ SI(r^k) = k^2 SI(r) + (k - 1).
 Disjointness.  The disk complex is the flag complex of the relation
 i(u, v) = 0, and disjoint_pairs decides it for every pair of a list of
 classes.  Since a, b >= 1, i(r^a, s^b) = 0 exactly when the roots r, s
-have no linked configuration.  And i(u, v) >= |algebraic_intersection(u,
-v)|, the homological intersection pairing, so a pair that pairs to a
-nonzero number is decided without a scan.
+have no linked configuration.  The masks of each root are computed once,
+so a pair with a linked m = k = 0 configuration is decided by one AND.
+And i(u, v) >= |algebraic_intersection(u, v)|, the homological
+intersection pairing, so a pair that pairs to a nonzero number is also
+decided without a scan of its shared-letter configurations.
 """
 
 from __future__ import annotations
@@ -231,13 +244,21 @@ class CurveClass:
     def root_and_power(self) -> tuple["CurveClass", int]:
         """Primitive root and exponent; the canonical word of w^k is periodic."""
         w = self.letters
-        n = len(w)
-        for p in range(1, n):
-            if n % p == 0 and w == w[:p] * (n // p):
-                # canonical: the rotations and inverse of r^k are those of
-                # r raised to k, and x^k compares with y^k as x with y
-                return CurveClass(w[:p]), n // p
-        return self, 1
+        p = _period(w)
+        if p == len(w):
+            return self, 1
+        # canonical: the rotations and inverse of r^k are those of r raised
+        # to k, and x^k compares with y^k as x with y
+        return CurveClass(w[:p]), len(w) // p
+
+
+def _period(w) -> int:
+    """Least p dividing len(w) with w == w[:p] * (len(w) // p)."""
+    n = len(w)
+    for p in range(1, n):
+        if n % p == 0 and w == w[:p] * (n // p):
+            return p
+    return n
 
 
 # ----------------------------------------------------------- cyclic order
@@ -264,6 +285,23 @@ class CyclicOrder:
             x: {y: (pos[y] - pos[x]) % n for y in self.letters}
             for x in self.letters
         })
+        # _links[x * n + y], for the letter keys x of a and y of back, has
+        # bit b * n + c set (keys again) when the tripods (a, b, back) and
+        # (a, c, back) are oriented oppositely and neither b nor c is a or
+        # back.  With S the letters passed on the ccw walk from a before
+        # back, that is: exactly one of b, c in S, both outside {a, back}.
+        keys = [letter_key(l) for l in self.letters]
+        row, column = (1 << n) - 1, sum(1 << (i * n) for i in range(n))
+        links = [0] * (n * n)
+        for i, x in enumerate(keys):
+            rows, cols = row << (x * n), column << x  # b in S, c in S
+            at_a = rows | cols
+            for y in keys[i + 1:] + keys[:i]:
+                links[x * n + y] = (rows ^ cols) & ~(
+                    at_a | row << (y * n) | column << y)
+                rows |= row << (y * n)
+                cols |= column << y
+        object.__setattr__(self, "_links", links)
 
     @property
     def rank(self) -> int:
@@ -286,45 +324,84 @@ def _agreement(a, i, b, j, horizon: int) -> int:
     raise InternalInvariantError("rays agree beyond the Fine-Wilf horizon")
 
 
-def _linked_configurations(order, u, v):
-    """Yield each pinned, linked configuration (s, j) of primitive u, v."""
-    p, q = len(u), len(v)
-    ahead = order._ahead
+def _shift_ids(order, w) -> list:
+    """x * n + y for each shift s of w, n = 4g, with x and y the letter
+    keys of w[s] and -w[s - 1].  With w as the u of a configuration it
+    indexes the _links row of (a, back); as the v it is the bit of (b, c).
+    """
+    n = len(order.letters)
+    ids = []
+    y = letter_key(w[-1]) ^ 1
+    for l in w:
+        x = 2 * l - 2 if l > 0 else -2 * l - 1  # letter_key, inline
+        ids.append(x * n + y)
+        y = x ^ 1
+    return ids
+
+
+def _tripod_masks(order, w) -> tuple:
+    """(linked, present) masks of a cyclically reduced word w: the OR of
+    the _links rows its shifts index, and the bits of those indices.
+
+    Some configuration (s, j) of u, v with m = k = 0 is unpinned and
+    linked exactly when linked(u) & present(v) is nonzero.
+    """
+    links = order._links
+    linked = present = 0
+    for i in _shift_ids(order, w):
+        linked |= links[i]
+        present |= 1 << i
+    return linked, present
+
+
+def _shared_configurations(order, u, v):
+    """Yield, in order, each unpinned, linked configuration (s, j) of
+    primitive u, v whose forward u-ray starts along a v-ray (a in {b, c}).
+
+    opens[a] lists the shifts j where a is b = v[j] or c = -v[j - 1].  The
+    backward u-ray leaves the other three rays at the base, so each side
+    is read where the forward u-ray parts from it.
+    """
+    opens: dict = {}
+    for j, b in enumerate(v):
+        opens.setdefault(b, []).append(j)
+        opens.setdefault(-v[j - 1], []).append(j)
     uu = None
-    for s in range(p):
-        a, back = u[s], -u[s - 1]
-        d = ahead[a]
-        behind = d[back]
-        for j in range(q):
-            b, c = v[j], -v[j - 1]
+    for s, a in enumerate(u):
+        back = -u[s - 1]
+        for j in opens.get(a, ()):
             # pinning: configurations where the backward u-ray runs along
             # the v-axis describe the same crossing shifted along the
             # common segment; count only the segment's start (this also
             # drops s == j when u == v, where the two axes coincide)
-            if back == b or back == c:
-                continue
-            if a != b and a != c:
-                # the forward u-ray leaves both v-rays at the base (m = k
-                # = 0): the tripods (a, b, back) and (a, c, back) decide
-                if (d[b] < behind) != (d[c] < behind):
-                    yield s, j
+            if back == v[j] or back == -v[j - 1]:
                 continue
             if uu is None:
                 # whole periods, long enough that no index below needs %
                 # (and uu[-1] is u[p - 1]); the backward v-ray from shift
                 # j reads iv from q - j
+                p, q = len(u), len(v)
                 horizon = p + q + 2
                 uu = u * (horizon // p + 2)
                 vv = v * (horizon // q + 2)
                 iv = inverse(v) * (horizon // q + 2)
                 cyc = order.cyc
-            # the backward u-ray leaves the other three rays at the base,
-            # so each side is read where the forward u-ray parts from it
             m = _agreement(uu, s, vv, j, horizon)
             k = _agreement(uu, s, iv, q - j, horizon)
             if (cyc(uu[s + m], vv[j + m], -uu[s + m - 1])
                     != cyc(uu[s + k], iv[q - j + k], -uu[s + k - 1])):
                 yield s, j
+
+
+def _linked_configurations(order, u, v):
+    """Yield each pinned, linked configuration (s, j) of primitive u, v, in
+    order: those the _links table marks, where the forward u-ray leaves
+    both v-rays at the base, and those of _shared_configurations."""
+    links = order._links
+    ids = _shift_ids(order, v)
+    base = [(s, j) for s, i in enumerate(_shift_ids(order, u))
+            for j, bit in enumerate(ids) if links[i] >> bit & 1]
+    yield from sorted(base + list(_shared_configurations(order, u, v)))
 
 
 # ------------------------------------------------------------- public api
@@ -353,15 +430,24 @@ def self_intersection(surface, u) -> int:
 
 
 def is_simple(surface, u) -> bool:
-    """True exactly when self_intersection(surface, u) == 0.
+    """True exactly when self_intersection(surface, u) == 0."""
+    order = surface.rose_order
+    return is_simple_word(order, CurveClass.coerce(u, order.rank).letters)
+
+
+def is_simple_word(order, w) -> bool:
+    """is_simple for a cyclically reduced word w, read without a CurveClass.
 
     SI(r^k) = k^2 SI(r) + (k - 1) vanishes only for k = 1 and a root with
-    no linked configuration with itself, so the scan stops at the first.
+    no linked configuration with itself.  A cyclically reduced word is a
+    proper power exactly when it is periodic, and the self scan is one
+    AND of w's tripod masks, then the shared-letter configurations, which
+    stop at the first linked one.
     """
-    order = surface.rose_order
-    root, k = CurveClass.coerce(u, order.rank).root_and_power()
-    return k == 1 and not any(
-        _linked_configurations(order, root.letters, root.letters))
+    if _period(w) < len(w):
+        return False
+    linked, present = _tripod_masks(order, w)
+    return not linked & present and not any(_shared_configurations(order, w, w))
 
 
 def is_essential(surface, u) -> bool:
@@ -405,20 +491,23 @@ def algebraic_intersection(surface, u, v) -> int:
 def disjoint_pairs(surface, classes) -> tuple:
     """Index pairs (a, b), a < b, whose classes have geometric intersection 0.
 
-    Each class is reduced to its primitive root once, and its vector and
-    image under the intersection form are computed once, so the
-    algebraic test is one dot product per pair.  Only the pairs it
-    passes go to the crossing scan of their roots, which stops at the
-    first linked configuration.
+    Each class is reduced to its primitive root once, and its tripod masks,
+    vector and image under the intersection form are computed once.  A
+    pair crosses when a base configuration is linked, one AND of the masks,
+    or when the classes pair to a nonzero number, one dot product.  Only
+    the pairs left go to the shared-letter configurations of their roots,
+    which stop at the first linked one.
     """
     order = surface.rose_order
     curves = [CurveClass.coerce(c, order.rank) for c in classes]
     roots = [c.root_and_power()[0].letters for c in curves]
+    masks = [_tripod_masks(order, r) for r in roots]
     vectors, images = _pairing(surface, curves)
     return tuple(
         (a, b)
-        for a in range(len(roots))
+        for a, (linked, _) in enumerate(masks)
         for b in range(a + 1, len(roots))
-        if not sum(map(mul, images[a], vectors[b]))
-        and not any(_linked_configurations(order, roots[a], roots[b]))
+        if not linked & masks[b][1]
+        and not sum(map(mul, images[a], vectors[b]))
+        and not any(_shared_configurations(order, roots[a], roots[b]))
     )

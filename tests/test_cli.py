@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,18 @@ class TestPersistence:
         code, _, err = cap(capsys, ["homology", str(path)])
         assert code == 2
         assert "schema" in err
+
+    def test_too_many_relative_cells_exits_two_at_once(self, capsys, tmp_path):
+        # the second of two disjoint 30-vertex facets stays outside A, and
+        # its 2^30 vertex subsets would exhaust memory
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(make_document(
+            SCHEMA_GAMMA, {"facets": [list(range(30)), list(range(30, 60))]})))
+        t0 = time.monotonic()
+        code, out, err = cap(capsys, ["homology", str(path)])
+        assert time.monotonic() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "1073741824 vertex subsets, above the limit of 12000000" in err
 
     def test_malformed_json_exits_two(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

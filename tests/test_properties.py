@@ -217,7 +217,7 @@ def unpinned(u, v):
 
 class TestTableAndSharedLetterBranches:
     """Configurations whose forward u-ray shares no first letter with a
-    v-ray are tripods at the base, read from CyclicOrder._ahead; the others
+    v-ray are tripods at the base, read from CyclicOrder._links; the others
     spell their rays out with _agreement.  Both branches are checked against
     the ray-by-ray count on every pair and self pair of two vertex sets."""
 

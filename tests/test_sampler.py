@@ -24,9 +24,9 @@ from diskcomplex import (
 import diskcomplex.handles as handles
 import diskcomplex.sampler as sampler
 import diskcomplex.words as words
-from diskcomplex.words import disjoint_pairs
+from diskcomplex.words import _linked_configurations, disjoint_pairs
 from diskcomplex.handles import _dying_classes, disk_vertices
-from oracles import canonical_class, dies_on_side, reduced_words
+from oracles import canonical_class, crossings_by_rays, dies_on_side, reduced_words
 from test_complexes import assert_collapse_keeps_homology
 
 # (genus, budget) pairs small enough to enumerate every reduced word
@@ -172,8 +172,8 @@ class TestClassEnumeration:
 
 class TestOneDecisionPerClass:
     """sample_gamma takes each class's sides from the class search: it runs
-    no side test of its own and coerces each class at most twice, once in
-    the simplicity gate and, for a vertex, once in disjoint_pairs."""
+    no side test of its own, and of the classes the search yields it builds
+    a CurveClass, and coerces it in disjoint_pairs, only for a vertex."""
 
     def test_no_second_side_test(self, monkeypatch):
         calls = collections.Counter()
@@ -197,7 +197,26 @@ class TestOneDecisionPerClass:
         monkeypatch.setattr(CurveClass, "coerce", classmethod(counting_coerce))
         s = sample_gamma(chain_surface(3), 5)
         assert calls["kill_word"] == calls["bounds_disk_sides"] == 0
-        assert calls["coerce"] <= 2047 + len(s.vertices)
+        assert calls["coerce"] <= len(s.vertices)
+
+    @pytest.mark.parametrize("include", [
+        (), ((1, 2, 4, -1, 3, -4, -3, -2),)], ids=["plain", "include"])
+    def test_a_class_object_only_for_each_vertex(self, monkeypatch, include):
+        # the gate reads the search's canonical letters, so of the 2,047
+        # classes that die on a side only the 105 disk vertices become
+        # CurveClass objects, each checked canonical once when built
+        surface = chain_surface(3)
+        built = []
+        post_init = CurveClass.__post_init__
+
+        def counting(self):
+            built.append(self.letters)
+            post_init(self)
+        monkeypatch.setattr(CurveClass, "__post_init__", counting)
+        s = sample_gamma(surface, 5, include=include)
+        monkeypatch.undo()
+        assert len(s.vertices) == 105 + len(include)
+        assert len(built) <= 105 + len(include)
 
 
 class TestEdgesAgainstTheFullCount:
@@ -231,18 +250,20 @@ class TestEdgesAgainstTheFullCount:
 
 
 class TestAlgebraicPrefilter:
-    """disjoint_pairs skips the crossing scan of a pair whose homology
-    classes pair to a nonzero number; every pair it skips must cross."""
+    """disjoint_pairs reads the shared-letter configurations of a pair only
+    when neither the tripod masks (a linked base configuration) nor the
+    homology pairing (a nonzero algebraic intersection) has shown that it
+    crosses; every pair it skips must cross, for one of those reasons."""
 
     def skipped_pairs(self, monkeypatch, surface, classes):
         scanned = set()
-        scan = words._linked_configurations
+        scan = words._shared_configurations
 
         def spy(order, u, v):
             scanned.add((u, v))
             return scan(order, u, v)
 
-        monkeypatch.setattr(words, "_linked_configurations", spy)
+        monkeypatch.setattr(words, "_shared_configurations", spy)
         disjoint_pairs(surface, classes)
         monkeypatch.undo()
         # sampled and interval classes are simple, so each is its own root
@@ -251,15 +272,29 @@ class TestAlgebraicPrefilter:
             if (u.letters, v.letters) not in scanned
         ]
 
+    def assert_each_crosses(self, surface, skipped):
+        """Each skipped pair crosses; returns how many the pairing alone
+        decided, with no linked base configuration."""
+        order = surface.rose_order
+        by_pairing = 0
+        for u, v in skipped:
+            x, y = u.letters, v.letters
+            base = any(x[s] not in (y[j], -y[j - 1])
+                       for s, j in _linked_configurations(order, x, y))
+            assert base or algebraic_intersection(surface, u, v) != 0
+            assert geometric_intersection(surface, u, v) > 0
+            assert crossings_by_rays(order, x, y) > 0
+            by_pairing += not base
+        return by_pairing
+
     @pytest.mark.parametrize("genus, budget", [(2, 5), (3, 4)])
     def test_sampled_pairs(self, monkeypatch, genus, budget):
         surface = chain_surface(genus)
         skipped = self.skipped_pairs(
             monkeypatch, surface, sample_gamma(surface, budget).vertices)
         assert len(skipped) > 100
-        for u, v in skipped:
-            assert algebraic_intersection(surface, u, v) != 0
-            assert geometric_intersection(surface, u, v) > 0
+        # the pairing still decides pairs the masks leave open
+        assert self.assert_each_crosses(surface, skipped) > 10
 
     @pytest.mark.parametrize("genus", [2, 3, 4])
     def test_interval_pairs(self, monkeypatch, genus):
@@ -267,9 +302,7 @@ class TestAlgebraicPrefilter:
         curves = [v.curve for v in bbm_vertices(surface)[0]]
         skipped = self.skipped_pairs(monkeypatch, surface, curves)
         assert skipped
-        for u, v in skipped:
-            assert algebraic_intersection(surface, u, v) != 0
-            assert geometric_intersection(surface, u, v) > 0
+        self.assert_each_crosses(surface, skipped)
 
 
 class TestMaxSimplexProbe:
