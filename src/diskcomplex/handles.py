@@ -24,7 +24,13 @@ from __future__ import annotations
 
 from enum import Enum
 
+from .errors import BudgetError
 from .words import CurveClass, cyclic_reduce, is_simple_word, key_letter
+
+# The class search nests one generator frame per letter of its prefix, and
+# Python stops at 1000 nested frames by default; this leaves half of them
+# to the caller.
+MAX_CLASS_LENGTH = 500
 
 
 class Side(Enum):
@@ -124,7 +130,14 @@ def _dying_classes(rank: int, max_len: int):
 
 
 def disk_vertices(surface, max_len: int):
-    """(CurveClass, sides) for each disk vertex of word length 1..max_len."""
-    for word, sides in _dying_classes(2 * surface.genus, max_len):
-        if _is_disk_word(surface, word):
-            yield CurveClass(word), sides
+    """(CurveClass, sides) for each disk vertex of word length 1..max_len.
+
+    A max_len above MAX_CLASS_LENGTH raises BudgetError at the call.
+    """
+    if max_len > MAX_CLASS_LENGTH:
+        raise BudgetError(
+            f"the class search reaches words of at most {MAX_CLASS_LENGTH} "
+            f"letters, not {max_len}; lower the budget")
+    return ((CurveClass(word), sides)
+            for word, sides in _dying_classes(2 * surface.genus, max_len)
+            if _is_disk_word(surface, word))

@@ -64,8 +64,10 @@ def sample_gamma(
     freely reduced words of length 1..budget, the sum over k <= budget of
     4g(4g-1)^(k-1), which those classes stand for.  cap bounds that count,
     and the check runs before anything is enumerated, so an accidental
-    budget=30 raises BudgetError at once.  Classes in include join the
-    sample regardless of length but must pass bounds_disk_sides.
+    budget=30 raises BudgetError at once, as does a budget past
+    handles.MAX_CLASS_LENGTH under a cap that admits it.  Classes in
+    include join the sample regardless of length but must pass
+    bounds_disk_sides.
     """
     if type(budget) is not int or budget < 1:
         raise DomainError("budget must be a positive word length")

@@ -76,15 +76,15 @@ shifts places two distinct lifts of the one axis; the involution swapping
 the two strands pairs those configurations, so the count is even and is
 twice the self-intersection number SI(u).
 
-The linked configurations come from the table and that generator.
-Counts (pairwise intersection, self-intersection and its parity check)
-list all of them, so they stay exact.  The two yes-or-no tests only ask
-whether there is one: the edge test i == 0 of disjoint_pairs, and the
-simplicity test is_simple, which by the power formula below asks for a
-primitive class whose root is not linked with itself (is_simple_word
-asks it of letters, with no CurveClass).  Each is one AND of tripod
-masks, then the shared-letter configurations, stopped at the first
-linked one.
+_linked_configurations yields the configurations the table marks, then
+those of _shared_configurations.  Counts (pairwise intersection,
+self-intersection and its parity check) read all of them, so they stay
+exact.  The two yes-or-no tests only ask whether there is one: the edge
+test i == 0 of disjoint_pairs, and the simplicity test is_simple, which
+by the power formula below asks for a primitive class whose root is not
+linked with itself (is_simple_word asks it of letters, with no
+CurveClass).  Both are the same two steps: one AND of tripod masks, then
+the shared-letter configurations, stopped at the first linked one.
 
 Non-primitive classes are handled by the power formulas: the count for
 r^a, s^b is ab times the count for their primitive roots r, s.  With
@@ -97,9 +97,6 @@ i(u, v) = 0, and disjoint_pairs decides it for every pair of a list of
 classes.  Since a, b >= 1, i(r^a, s^b) = 0 exactly when the roots r, s
 have no linked configuration.  The masks of each root are computed once,
 so a pair with a linked m = k = 0 configuration is decided by one AND.
-And i(u, v) >= |algebraic_intersection(u, v)|, the homological
-intersection pairing, so a pair that pairs to a nonzero number is also
-decided without a scan of its shared-letter configurations.
 """
 
 from __future__ import annotations
@@ -394,14 +391,16 @@ def _shared_configurations(order, u, v):
 
 
 def _linked_configurations(order, u, v):
-    """Yield each pinned, linked configuration (s, j) of primitive u, v, in
-    order: those the _links table marks, where the forward u-ray leaves
-    both v-rays at the base, and those of _shared_configurations."""
+    """Yield each pinned, linked configuration (s, j) of primitive u, v:
+    those the _links table marks, where the forward u-ray leaves both
+    v-rays at the base, then those of _shared_configurations."""
     links = order._links
     ids = _shift_ids(order, v)
-    base = [(s, j) for s, i in enumerate(_shift_ids(order, u))
-            for j, bit in enumerate(ids) if links[i] >> bit & 1]
-    yield from sorted(base + list(_shared_configurations(order, u, v)))
+    for s, i in enumerate(_shift_ids(order, u)):
+        for j, bit in enumerate(ids):
+            if links[i] >> bit & 1:
+                yield s, j
+    yield from _shared_configurations(order, u, v)
 
 
 # ------------------------------------------------------------- public api
@@ -466,48 +465,31 @@ def abelianized(word, rank: int) -> tuple:
     return tuple(image)
 
 
-def _pairing(surface, curves) -> tuple:
-    """Abelianised vectors of the classes and their images under the form.
-
-    The algebraic intersection of curves a and b is the dot product of
-    images[a] with vectors[b].
-    """
-    omega = surface.homological_pairing()
-    vectors = [abelianized(c.letters, len(omega)) for c in curves]
-    images = [
-        tuple(sum(map(mul, a, column)) for column in zip(*omega))
-        for a in vectors
-    ]
-    return vectors, images
-
-
 def algebraic_intersection(surface, u, v) -> int:
     """Homological intersection pairing of two classes, sign included."""
     rank = surface.rose_order.rank
-    vectors, images = _pairing(surface, [CurveClass.coerce(c, rank) for c in (u, v)])
-    return sum(map(mul, images[0], vectors[1]))
+    a, b = (abelianized(CurveClass.coerce(c, rank).letters, rank) for c in (u, v))
+    omega = surface.homological_pairing()
+    return sum(x * sum(map(mul, row, b)) for x, row in zip(a, omega))
 
 
 def disjoint_pairs(surface, classes) -> tuple:
     """Index pairs (a, b), a < b, whose classes have geometric intersection 0.
 
-    Each class is reduced to its primitive root once, and its tripod masks,
-    vector and image under the intersection form are computed once.  A
-    pair crosses when a base configuration is linked, one AND of the masks,
-    or when the classes pair to a nonzero number, one dot product.  Only
-    the pairs left go to the shared-letter configurations of their roots,
-    which stop at the first linked one.
+    Each class is reduced to its primitive root once, and the tripod masks
+    of each root are computed once.  A pair is then decided by the two
+    steps of is_simple_word: one AND of the masks, which finds a linked
+    base configuration, and for the pairs it leaves, the shared-letter
+    configurations of their roots, which stop at the first linked one.
     """
     order = surface.rose_order
-    curves = [CurveClass.coerce(c, order.rank) for c in classes]
-    roots = [c.root_and_power()[0].letters for c in curves]
+    roots = [CurveClass.coerce(c, order.rank).root_and_power()[0].letters
+             for c in classes]
     masks = [_tripod_masks(order, r) for r in roots]
-    vectors, images = _pairing(surface, curves)
     return tuple(
         (a, b)
         for a, (linked, _) in enumerate(masks)
         for b in range(a + 1, len(roots))
         if not linked & masks[b][1]
-        and not sum(map(mul, images[a], vectors[b]))
         and not any(_shared_configurations(order, roots[a], roots[b]))
     )

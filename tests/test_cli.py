@@ -175,6 +175,19 @@ class TestGammaSample:
         assert code == 2
         assert "cap" in err
 
+    def test_budget_past_the_class_search_exits_two_at_once(self, capsys):
+        # a 1,301-digit cap admits L = 1200, but the class search nests one
+        # frame per letter and stops at handles.MAX_CLASS_LENGTH
+        t0 = time.monotonic()
+        code, out, err = cap(
+            capsys, ["gamma", "sample", "-g", "2", "-L", "1200",
+                     "--cap", "1" + "0" * 1300])
+        assert time.monotonic() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "1200" in err
+        assert "Traceback" not in err
+
     def test_non_disk_include_exits_two(self, capsys):
         code, _, err = cap(
             capsys,

@@ -172,7 +172,7 @@ class TestDisjointnessAgainstBranchModel:
     """The double branched cover predicts every pairwise intersection
     number of the chosen classes from the branch sets alone."""
 
-    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
     def test_all_pairs(self, g):
         from diskcomplex import chain_surface
 

@@ -192,8 +192,8 @@ class TestCrossingCountAgainstRays:
         assert crossed > ORACLE_PAIRS // 4
 
     def test_linked_configurations_listed_once_each(self, roots):
-        # the generator the edge test stops early on yields every counted
-        # configuration, once, inside [0, p) x [0, q)
+        # the generator the counts read yields every counted configuration,
+        # once, inside [0, p) x [0, q)
         for order, r, s in roots:
             for u, v in ((r, s), (r, r)):
                 linked = list(_linked_configurations(order, u, v))

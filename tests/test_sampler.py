@@ -1,6 +1,7 @@
 """Bounded enumeration of disk-bounding classes and simplex probes."""
 
 import collections
+import itertools
 import time
 
 import pytest
@@ -11,7 +12,6 @@ from diskcomplex import (
     CurveError,
     DomainError,
     Side,
-    algebraic_intersection,
     bbm_vertices,
     bounds_disk_sides,
     chain_surface,
@@ -24,7 +24,8 @@ from diskcomplex import (
 import diskcomplex.handles as handles
 import diskcomplex.sampler as sampler
 import diskcomplex.words as words
-from diskcomplex.words import _linked_configurations, disjoint_pairs
+from diskcomplex.ribbon import ChainSurface
+from diskcomplex.words import _linked_configurations, _tripod_masks, disjoint_pairs
 from diskcomplex.handles import _dying_classes, disk_vertices
 from oracles import canonical_class, crossings_by_rays, dies_on_side, reduced_words
 from test_complexes import assert_collapse_keeps_homology
@@ -169,6 +170,23 @@ class TestClassEnumeration:
             sample_gamma(chain2, 30)
         assert time.monotonic() - t0 < 1.0
 
+    def test_cap_loop_stops_at_the_first_count_past_the_cap(self, chain2):
+        # a closed-form count would first build 8 * 7^(10^9 - 1), a power
+        # with about 10^9 digits
+        t0 = time.monotonic()
+        with pytest.raises(BudgetError, match="cap of 1000000 "):
+            sample_gamma(chain2, 10**9)
+        assert time.monotonic() - t0 < 1.0
+
+    def test_search_reaches_its_length_bound_and_no_further(self, chain2):
+        # g1, g1^2, ... are the first classes the search yields, so the
+        # first MAX_CLASS_LENGTH of them nest that many frames
+        bound = handles.MAX_CLASS_LENGTH
+        first = itertools.islice(_dying_classes(4, bound), bound)
+        assert max(len(w) for w, _ in first) == bound
+        with pytest.raises(BudgetError, match=f"at most {bound} letters"):
+            disk_vertices(chain2, bound + 1)
+
 
 class TestOneDecisionPerClass:
     """sample_gamma takes each class's sides from the class search: it runs
@@ -250,12 +268,14 @@ class TestEdgesAgainstTheFullCount:
 
 
 class TestAlgebraicPrefilter:
-    """disjoint_pairs reads the shared-letter configurations of a pair only
-    when neither the tripod masks (a linked base configuration) nor the
-    homology pairing (a nonzero algebraic intersection) has shown that it
-    crosses; every pair it skips must cross, for one of those reasons."""
+    """disjoint_pairs has no algebraic prefilter: it decides a pair by the
+    two steps of is_simple_word.  The pair's shared-letter configurations
+    are read exactly when its tripod masks do not meet, and every pair it
+    does not read has a linked base configuration, so it crosses.  The
+    homology pairing is never computed."""
 
-    def skipped_pairs(self, monkeypatch, surface, classes):
+    def split_pairs(self, monkeypatch, surface, classes):
+        """(scanned, skipped) pairs of disjoint_pairs on the classes."""
         scanned = set()
         scan = words._shared_configurations
 
@@ -263,46 +283,52 @@ class TestAlgebraicPrefilter:
             scanned.add((u, v))
             return scan(order, u, v)
 
+        def pairing(self):
+            raise AssertionError("the edge test reads the homology pairing")
+
         monkeypatch.setattr(words, "_shared_configurations", spy)
+        monkeypatch.setattr(ChainSurface, "homological_pairing", pairing)
         disjoint_pairs(surface, classes)
         monkeypatch.undo()
         # sampled and interval classes are simple, so each is its own root
-        return [
-            (u, v) for a, u in enumerate(classes) for v in classes[a + 1:]
-            if (u.letters, v.letters) not in scanned
-        ]
+        pairs = [(u, v) for a, u in enumerate(classes) for v in classes[a + 1:]]
+        order = surface.rose_order
+        masks = {c: _tripod_masks(order, c.letters) for c in classes}
+        want = {(u.letters, v.letters) for u, v in pairs
+                if not masks[u][0] & masks[v][1]}
+        assert scanned == want
+        return ([(u, v) for u, v in pairs if (u.letters, v.letters) in scanned],
+                [(u, v) for u, v in pairs if (u.letters, v.letters) not in scanned])
 
     def assert_each_crosses(self, surface, skipped):
-        """Each skipped pair crosses; returns how many the pairing alone
-        decided, with no linked base configuration."""
+        """Each skipped pair has a linked base configuration, and crosses."""
         order = surface.rose_order
-        by_pairing = 0
         for u, v in skipped:
             x, y = u.letters, v.letters
-            base = any(x[s] not in (y[j], -y[j - 1])
+            assert any(x[s] not in (y[j], -y[j - 1])
                        for s, j in _linked_configurations(order, x, y))
-            assert base or algebraic_intersection(surface, u, v) != 0
             assert geometric_intersection(surface, u, v) > 0
             assert crossings_by_rays(order, x, y) > 0
-            by_pairing += not base
-        return by_pairing
 
     @pytest.mark.parametrize("genus, budget", [(2, 5), (3, 4)])
     def test_sampled_pairs(self, monkeypatch, genus, budget):
         surface = chain_surface(genus)
-        skipped = self.skipped_pairs(
+        _, skipped = self.split_pairs(
             monkeypatch, surface, sample_gamma(surface, budget).vertices)
         assert len(skipped) > 100
-        # the pairing still decides pairs the masks leave open
-        assert self.assert_each_crosses(surface, skipped) > 10
+        self.assert_each_crosses(surface, skipped)
 
-    @pytest.mark.parametrize("genus", [2, 3, 4])
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5, 6])
     def test_interval_pairs(self, monkeypatch, genus):
         surface = chain_surface(genus)
         curves = [v.curve for v in bbm_vertices(surface)[0]]
-        skipped = self.skipped_pairs(monkeypatch, surface, curves)
+        scanned, skipped = self.split_pairs(monkeypatch, surface, curves)
         assert skipped
         self.assert_each_crosses(surface, skipped)
+        # the masks decide every crossing pair of the interval classes, so
+        # the scan reads only the edges
+        assert all(geometric_intersection(surface, u, v) == 0
+                   for u, v in scanned)
 
 
 class TestMaxSimplexProbe:
