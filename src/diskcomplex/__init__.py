@@ -73,7 +73,6 @@ from .words import (
     free_reduce,
     geometric_intersection,
     inverse,
-    is_essential,
     is_simple,
     letter_key,
     parse_word,
@@ -134,7 +133,6 @@ __all__ = [
     "geometric_intersection",
     "interval_walks",
     "inverse",
-    "is_essential",
     "is_simple",
     "kill_word",
     "letter_key",

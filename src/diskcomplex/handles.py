@@ -13,9 +13,10 @@ never trivial, so: not the boundary class), and dies on some side; by
 Dehn's lemma the algebraic condition then certifies an embedded
 compressing disk.  bounds_disk_sides tests one class: it returns the
 sides for a disk vertex and the empty set for every other class.
-disk_vertices generates the disk vertices up to a word length, each
-with the sides its class search decided.  Both pass the same gate on a
-class's canonical letters (not the boundary word, and
+disk_vertices lists the disk vertices up to a word length with their
+sides, from one recursive class search that reaches each class dying on
+a side once, by its canonical word, and gates it there.  Both apply one
+gate to a class's canonical letters (not the boundary word, and
 words.is_simple_word: not a proper power, no self-link), and
 disk_vertices builds a CurveClass only for the classes that pass it.
 """
@@ -27,9 +28,9 @@ from enum import Enum
 from .errors import BudgetError
 from .words import CurveClass, cyclic_reduce, is_simple_word, key_letter
 
-# The class search nests one generator frame per letter of its prefix, and
-# Python stops at 1000 nested frames by default; this leaves half of them
-# to the caller.
+# The class search recurses one frame per letter of its prefix, and Python
+# stops at 1000 nested frames by default; this leaves half of them to the
+# caller.
 MAX_CLASS_LENGTH = 500
 
 
@@ -73,17 +74,18 @@ def bounds_disk_sides(surface, curve) -> frozenset:
     return frozenset()
 
 
-def _dying_classes(rank: int, max_len: int):
-    """(canonical word, frozenset of Sides it dies on) for each class of
-    length 1..max_len that dies on a side.  The search is depth first
-    over prenecklaces (Fredricksen-Kessler-Maiorana, in the form of
-    Cattell, Ruskey, Sawada, Serra and Miers, J. Algorithms 2000) in the
-    letter_key alphabet 0..2*rank-1, where the inverse of key x is x ^ 1
-    and no key is placed after its inverse.  A prefix a[1..n] whose
-    longest Lyndon prefix has length p is its own least rotation exactly
-    when p divides n; it is the canonical word of its class when, in
-    addition, its last key does not cancel its first (it is cyclically
-    reduced) and no rotation of its inverse is smaller.
+def disk_vertices(surface, max_len: int) -> list:
+    """(CurveClass, sides) for each disk vertex of word length 1..max_len.
+
+    The search is depth first over prenecklaces (Fredricksen-Kessler-
+    Maiorana, in the form of Cattell, Ruskey, Sawada, Serra and Miers,
+    J. Algorithms 2000) in the letter_key alphabet 0..4g-1, where the
+    inverse of key x is x ^ 1 and no key is placed after its inverse.  A
+    prefix a[1..n] whose longest Lyndon prefix has length p is its own
+    least rotation exactly when p divides n; it is the canonical word of
+    its class when, in addition, its last key does not cancel its first
+    (it is cyclically reduced) and no rotation of its inverse is smaller.
+    Each class that dies on a side is gated at its canonical word.
 
     Each side keeps a stack of the prefix's letters it does not kill,
     freely reduced.  A suffix of k letters cancels at most k survivors, so
@@ -91,11 +93,18 @@ def _dying_classes(rank: int, max_len: int):
     allowed, the prefix is pruned.  A freely reduced word is empty after
     cyclic reduction exactly when it is empty, so a class dies on exactly
     the sides whose stacks are empty.
+
+    A max_len above MAX_CLASS_LENGTH raises BudgetError at the call.
     """
+    if max_len > MAX_CLASS_LENGTH:
+        raise BudgetError(
+            f"the class search reaches words of at most {MAX_CLASS_LENGTH} "
+            f"letters, not {max_len}; lower the budget")
     a = [0] * (max_len + 1)  # a[0] = 0 starts the recursion with p = 1
     survivors = ([], [])  # freely reduced survivors, by Side.killed_parity
-    home = [survivors[side.killed_parity] for x in range(2 * rank)
+    home = [survivors[side.killed_parity] for x in range(4 * surface.genus)
             for side in Side if not side.kills(key_letter(x))]
+    found = []
 
     def extend(t, p):
         n = t - 1
@@ -104,12 +113,15 @@ def _dying_classes(rank: int, max_len: int):
             word = tuple(a[1:t])
             inv = tuple(x ^ 1 for x in reversed(word)) * 2
             if all(word <= inv[s:s + n] for s in range(n)):
-                yield tuple(map(key_letter, word)), frozenset(
-                    side for side in Side if not survivors[side.killed_parity])
+                letters = tuple(map(key_letter, word))
+                if _is_disk_word(surface, letters):
+                    found.append((CurveClass(letters), frozenset(
+                        side for side in Side
+                        if not survivors[side.killed_parity])))
         if n == max_len:
             return
         rest = max_len - t
-        for x in range(a[t - p], 2 * rank):
+        for x in range(a[t - p], len(home)):
             if n and x == a[n] ^ 1:
                 continue
             a[t] = x
@@ -120,24 +132,11 @@ def _dying_classes(rank: int, max_len: int):
             else:
                 stack.append(x)
             if len(survivors[0]) <= rest or len(survivors[1]) <= rest:
-                yield from extend(t + 1, p if x == a[t - p] else t)
+                extend(t + 1, p if x == a[t - p] else t)
             if cancels:
                 stack.append(x ^ 1)
             else:
                 stack.pop()
 
-    yield from extend(1, 1)
-
-
-def disk_vertices(surface, max_len: int):
-    """(CurveClass, sides) for each disk vertex of word length 1..max_len.
-
-    A max_len above MAX_CLASS_LENGTH raises BudgetError at the call.
-    """
-    if max_len > MAX_CLASS_LENGTH:
-        raise BudgetError(
-            f"the class search reaches words of at most {MAX_CLASS_LENGTH} "
-            f"letters, not {max_len}; lower the budget")
-    return ((CurveClass(word), sides)
-            for word, sides in _dying_classes(2 * surface.genus, max_len)
-            if _is_disk_word(surface, word))
+    extend(1, 1)
+    return found

@@ -30,7 +30,7 @@ from .complexes import SimplicialComplex, flag_from_graph
 from .errors import InternalInvariantError, IntervalError
 from .handles import Side, bounds_disk_sides
 from .ribbon import ChainSurface
-from .words import CurveClass, disjoint_pairs, is_essential
+from .words import CurveClass, disjoint_pairs
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def x_curve(surface: ChainSurface, interval: Interval):
         if not word:
             raise InternalInvariantError(f"contractible frontier for {interval}")
         c = CurveClass.from_letters(word)
-        if not is_essential(surface, c):
+        if c == surface.boundary_class:
             raise InternalInvariantError(f"peripheral frontier for {interval}")
         classes.append(c)
     if len(classes) == 1:

@@ -29,8 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, HypothesisError, InternalInvariantError
+from .errors import BudgetError, DomainError, HypothesisError, InternalInvariantError
 from .words import CurveClass, CyclicOrder, cyclic_reduce
+
+# The rose's CyclicOrder keeps a link table of (4g)^2 masks of (4g)^2
+# bits, 32 g^4 bytes, built in time of that order: 200 MB at g = 50, and
+# g = 200 would need 51 GB.  This limit refuses g >= 108 before any ribbon
+# work, and admits every genus in use far below it (g = 7 needs 77 KB).
+MAX_LINK_TABLE_BYTES = 2**32
 
 
 def normalize_walk(walk) -> tuple:
@@ -257,6 +263,10 @@ def chain_surface(genus: int) -> ChainSurface:
     """Build the standard chain surface of the given genus (>= 2)."""
     if not isinstance(genus, int) or genus < 2:
         raise HypothesisError("the chain model needs integer genus >= 2")
+    if (table := (4 * genus) ** 4 // 8) > MAX_LINK_TABLE_BYTES:
+        raise BudgetError(
+            f"genus {genus} needs a {table}-byte link table, above the "
+            f"limit of {MAX_LINK_TABLE_BYTES} bytes")
     n = 2 * genus
     ids: dict = {}
 

@@ -449,15 +449,6 @@ def is_simple_word(order, w) -> bool:
     return not linked & present and not any(_shared_configurations(order, w, w))
 
 
-def is_essential(surface, u) -> bool:
-    """True unless the class is trivial or the boundary (peripheral) class."""
-    try:
-        c = CurveClass.coerce(u)
-    except TrivialWordError:
-        return False
-    return c != surface.boundary_class
-
-
 def abelianized(word, rank: int) -> tuple:
     image = [0] * rank
     for l in word:

@@ -37,7 +37,8 @@ two is evidence rather than tautology.
   length, and the canonical class of a word as the least key sequence over
   all rotations of it and of its inverse, and whether a word dies on a
   side, by deleting the killed letters and freely reducing the rest.
-  These are the references for the sampler's class generator and for
+  Together they list the classes that die on a side up to a length.
+  These are the references for the sampler's class search and for
   canonical_unoriented.
 
 * Face counts by enumerating every face, as the reference for the
@@ -164,6 +165,17 @@ def dies_on_side(word, side: str) -> bool:
         else:
             stack.append(l)
     return not stack
+
+
+def dying_classes(rank: int, max_len: int) -> dict:
+    """Canonical word -> set of the sides ("O", "E") it dies on, for each
+    class of length 1..max_len that dies on a side."""
+    sides = {}
+    for w in reduced_words(rank, max_len):
+        c = canonical_class(w)
+        if c not in sides:
+            sides[c] = {s for s in "OE" if dies_on_side(c, s)}
+    return {c: s for c, s in sides.items() if s}
 
 
 # ------------------------------------------------------ crossings by rays

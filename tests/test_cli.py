@@ -86,6 +86,15 @@ class TestIntersect:
         assert code == 2
         assert "token" in err
 
+    def test_genus_past_the_link_table_limit_exits_two_at_once(self, capsys):
+        t0 = time.monotonic()
+        code, out, err = cap(capsys, ["intersect", "-g", "200", "g1", "g2"])
+        assert time.monotonic() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "link table" in err
+        assert "Traceback" not in err
+
 
 class TestDiskCheck:
     def test_separating_frontier(self, capsys):

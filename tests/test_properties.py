@@ -26,9 +26,8 @@ from diskcomplex import (
     self_intersection,
 )
 from diskcomplex import words as words_module
-from diskcomplex.handles import _dying_classes
 from diskcomplex.words import _linked_configurations
-from oracles import canonical_class, crossings_by_rays
+from oracles import canonical_class, crossings_by_rays, dying_classes
 from test_sampler import BRUTE
 
 WORDS = 2000
@@ -286,7 +285,7 @@ class TestSimplicityAgainstTheExactCount:
         seen = {"simple": 0, "crossing": 0, "power": 0, "power of simple": 0}
         for genus, budget in BRUTE:
             surface = chain_surface(genus)
-            for word, _ in _dying_classes(2 * genus, budget):
+            for word in dying_classes(2 * genus, budget):
                 c = CurveClass(word)
                 si = self_intersection(surface, c)
                 simple = is_simple(surface, c)

@@ -1,8 +1,11 @@
 """Ribbon graph mechanics and the chain surface model."""
 
+import time
+
 import pytest
 
 from diskcomplex import (
+    BudgetError,
     CurveClass,
     DomainError,
     HypothesisError,
@@ -74,6 +77,14 @@ class TestRibbonGraph:
 
 
 class TestChainSurface:
+    @pytest.mark.parametrize("genus", [200, 10**6])
+    def test_genus_past_the_link_table_limit_raises_at_once(self, genus):
+        # g = 200 would need a 51 GB link table in its CyclicOrder
+        t0 = time.monotonic()
+        with pytest.raises(BudgetError, match="link table"):
+            chain_surface(genus)
+        assert time.monotonic() - t0 < 1.0
+
     def test_small_genus_rejected(self):
         for bad in (0, 1, -3, 2.0):
             with pytest.raises(HypothesisError):

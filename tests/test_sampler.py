@@ -1,7 +1,6 @@
 """Bounded enumeration of disk-bounding classes and simplex probes."""
 
 import collections
-import itertools
 import time
 
 import pytest
@@ -26,8 +25,8 @@ import diskcomplex.sampler as sampler
 import diskcomplex.words as words
 from diskcomplex.ribbon import ChainSurface
 from diskcomplex.words import _linked_configurations, _tripod_masks, disjoint_pairs
-from diskcomplex.handles import _dying_classes, disk_vertices
-from oracles import canonical_class, crossings_by_rays, dies_on_side, reduced_words
+from diskcomplex.handles import disk_vertices
+from oracles import crossings_by_rays, dying_classes, reduced_words
 from test_complexes import assert_collapse_keeps_homology
 
 # (genus, budget) pairs small enough to enumerate every reduced word
@@ -118,31 +117,52 @@ class TestSampleGamma:
 
 class TestClassEnumeration:
     @pytest.mark.parametrize("genus, budget", BRUTE)
-    def test_one_canonical_word_per_class(self, genus, budget):
-        # exactly the classes that die on a side, each by its canonical word
-        # and with the sides it dies on
-        generated = [(w, {s.value for s in sides})
-                     for w, sides in _dying_classes(2 * genus, budget)]
-        assert len(generated) == len({w for w, _ in generated})
-        brute = {
-            canonical_class(w): {s for s in "OE" if dies_on_side(w, s)}
-            for w in reduced_words(2 * genus, budget)
-        }
-        assert dict(generated) == {w: s for w, s in brute.items() if s}
-
-    @pytest.mark.parametrize("genus, budget", BRUTE)
-    def test_disk_vertices_are_the_dying_classes_bounds_disk_sides_keeps(
-            self, genus, budget):
+    def test_one_canonical_word_per_class(self, monkeypatch, genus, budget):
+        # the gate sees each class that dies on a side once, by its
+        # canonical word, and the search keeps exactly the classes that are
+        # primitive, not the boundary word and free of self-links, each
+        # once, with the sides it dies on
         surface = chain_surface(genus)
-        want = {}
-        for w, _ in _dying_classes(2 * genus, budget):
-            if sides := bounds_disk_sides(surface, CurveClass(w)):
-                want[CurveClass(w)] = sides
-        assert dict(disk_vertices(surface, budget)) == want
+        order = surface.rose_order
+        gated = []
+        gate = handles._is_disk_word
 
-    def test_pruned_search_size(self):
-        # 2,047 of the 18,229 classes of length <= 5 at genus 3 die on a side
-        assert sum(1 for _ in _dying_classes(6, 5)) == 2047
+        def spy(surface, letters):
+            gated.append(letters)
+            return gate(surface, letters)
+        monkeypatch.setattr(handles, "_is_disk_word", spy)
+        found = disk_vertices(surface, budget)
+        monkeypatch.undo()
+        dying = dying_classes(2 * genus, budget)
+        assert sorted(gated) == sorted(dying)
+        assert len(found) == len({c for c, _ in found})
+        want = {
+            w: sides for w, sides in dying.items()
+            if w != surface.boundary_class.letters
+            and all(w != w[:d] * (len(w) // d)
+                    for d in range(1, len(w)) if len(w) % d == 0)
+            and crossings_by_rays(order, w, w) == 0
+        }
+        assert {c.letters: {s.value for s in sides}
+                for c, sides in found} == want
+        # bounds_disk_sides keeps the same classes, with the same sides
+        kept = {CurveClass(w): sides for w in dying
+                if (sides := bounds_disk_sides(surface, CurveClass(w)))}
+        assert dict(found) == kept
+
+    def test_pruned_search_size(self, monkeypatch):
+        # 2,047 of the 18,229 classes of length <= 5 at genus 3 die on a
+        # side, and the gate runs once on each
+        calls = collections.Counter()
+        gate = handles._is_disk_word
+
+        def spy(surface, letters):
+            calls[letters] += 1
+            return gate(surface, letters)
+        monkeypatch.setattr(handles, "_is_disk_word", spy)
+        found = disk_vertices(chain_surface(3), 5)
+        assert sum(calls.values()) == len(calls) == 2047
+        assert len(found) == 105
 
     def test_past_the_brute_force_sizes(self):
         s = sample_gamma(chain_surface(2), 7, cap=2 * 10**6)
@@ -178,12 +198,25 @@ class TestClassEnumeration:
             sample_gamma(chain2, 10**9)
         assert time.monotonic() - t0 < 1.0
 
-    def test_search_reaches_its_length_bound_and_no_further(self, chain2):
-        # g1, g1^2, ... are the first classes the search yields, so the
-        # first MAX_CLASS_LENGTH of them nest that many frames
+    def test_search_reaches_its_length_bound_and_no_further(
+            self, monkeypatch, chain2):
+        # g1, g1^2, ... are the first classes the search gates, one frame
+        # deeper each, so a gate that stops at the first other word or at
+        # g1^MAX_CLASS_LENGTH shows how deep the recursion gets
         bound = handles.MAX_CLASS_LENGTH
-        first = itertools.islice(_dying_classes(4, bound), bound)
-        assert max(len(w) for w, _ in first) == bound
+        gate = handles._is_disk_word
+
+        class Reached(Exception):
+            pass
+
+        def spy(surface, letters):
+            if len(letters) == bound or letters != (1,) * len(letters):
+                raise Reached(letters)
+            return gate(surface, letters)
+        monkeypatch.setattr(handles, "_is_disk_word", spy)
+        with pytest.raises(Reached) as reached:
+            disk_vertices(chain2, bound)
+        assert reached.value.args[0] == (1,) * bound
         with pytest.raises(BudgetError, match=f"at most {bound} letters"):
             disk_vertices(chain2, bound + 1)
 
