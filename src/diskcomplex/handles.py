@@ -19,6 +19,15 @@ a side once, by its canonical word, and gates it there.  Both apply one
 gate to a class's canonical letters (not the boundary word, and
 words.is_simple_word: not a proper power, no self-link), and
 disk_vertices builds a CurveClass only for the classes that pass it.
+
+The search also drops every prefix that is already self-linked.  Shift
+s >= 1 of a word depends only on its letters s - 1 and s, so it is the
+same shift in every word that starts with a prefix longer than s, and
+every class below a prefix in the search starts with it.  A word whose
+shifts' words.link_table rows meet their bits is not simple, so once
+that holds for the shifts 1..n-1 of a prefix of n letters, no class
+below it passes the gate.  At (3,5) the gate then runs on 883 classes,
+not on all 2,047 that die on a side.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import BudgetError
-from .words import CurveClass, cyclic_reduce, is_simple_word, key_letter
+from .words import (CurveClass, cyclic_reduce, is_simple_word, key_letter,
+                    link_table, shift_id)
 
 # The class search recurses one frame per letter of its prefix, and Python
 # stops at 1000 nested frames by default; this leaves half of them to the
@@ -94,6 +104,16 @@ def disk_vertices(surface, max_len: int) -> list:
     cyclic reduction exactly when it is empty, so a class dies on exactly
     the sides whose stacks are empty.
 
+    Each call also carries the OR of the link_table rows and the OR of
+    the bits of the shifts 1..n-1 of its prefix, as words._tripod_masks
+    would read them, one OR each per appended letter.  A letter whose shift
+    makes the two meet is not placed: every class below would fail
+    is_simple_word, so neither the prefix nor any class below it is gated.
+    Shift 0 wraps around the word, from its last letter to its first, so
+    only the gate, at the whole word, reads it.  The table never marks a
+    shift against itself (b = a there), so the powers g1, g1^2, ... are
+    never dropped.
+
     A max_len above MAX_CLASS_LENGTH raises BudgetError at the call.
     """
     if max_len > MAX_CLASS_LENGTH:
@@ -104,9 +124,10 @@ def disk_vertices(surface, max_len: int) -> list:
     survivors = ([], [])  # freely reduced survivors, by Side.killed_parity
     home = [survivors[side.killed_parity] for x in range(4 * surface.genus)
             for side in Side if not side.kills(key_letter(x))]
+    links = link_table(surface.rose_order)
     found = []
 
-    def extend(t, p):
+    def extend(t, p, rows, bits):
         n = t - 1
         if (n and n % p == 0 and a[n] ^ 1 != a[1]
                 and not (survivors[0] and survivors[1])):
@@ -121,9 +142,16 @@ def disk_vertices(surface, max_len: int) -> list:
         if n == max_len:
             return
         rest = max_len - t
+        back = a[n] ^ 1
         for x in range(a[t - p], len(home)):
-            if n and x == a[n] ^ 1:
-                continue
+            r = b = 0  # shift 0 waits for the gate
+            if n:
+                if x == back:
+                    continue
+                i = shift_id(len(home), x, back)
+                r, b = rows | links[i], bits | 1 << i
+                if r & b:
+                    continue  # shifts 1..n of every class below self-link
             a[t] = x
             stack = home[x]
             cancels = bool(stack) and stack[-1] == x ^ 1
@@ -132,11 +160,11 @@ def disk_vertices(surface, max_len: int) -> list:
             else:
                 stack.append(x)
             if len(survivors[0]) <= rest or len(survivors[1]) <= rest:
-                extend(t + 1, p if x == a[t - p] else t)
+                extend(t + 1, p if x == a[t - p] else t, r, b)
             if cancels:
                 stack.append(x ^ 1)
             else:
                 stack.pop()
 
-    extend(1, 1)
+    extend(1, 1, 0, 0)
     return found

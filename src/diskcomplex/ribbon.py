@@ -34,9 +34,11 @@ from .words import CurveClass, CyclicOrder, cyclic_reduce
 
 # The rose's CyclicOrder keeps a link table of (4g)^2 masks of (4g)^2
 # bits, 32 g^4 bytes, built in time of that order: 200 MB at g = 50, and
-# g = 200 would need 51 GB.  This limit refuses g >= 108 before any ribbon
-# work, and admits every genus in use far below it (g = 7 needs 77 KB).
-MAX_LINK_TABLE_BYTES = 2**32
+# g = 200 would need 51 GB.  This limit refuses g >= 27 before any ribbon
+# work.  It admits g = 26, a 14.6 MB table (chain_surface(26) takes
+# 0.04-0.06 s and a 30 MB process peak on a 2-CPU host), far above every
+# genus in use (g = 7 needs 77 KB).
+MAX_LINK_TABLE_BYTES = 2**24
 
 
 def normalize_walk(walk) -> tuple:

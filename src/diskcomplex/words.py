@@ -282,11 +282,12 @@ class CyclicOrder:
             x: {y: (pos[y] - pos[x]) % n for y in self.letters}
             for x in self.letters
         })
-        # _links[x * n + y], for the letter keys x of a and y of back, has
-        # bit b * n + c set (keys again) when the tripods (a, b, back) and
-        # (a, c, back) are oriented oppositely and neither b nor c is a or
-        # back.  With S the letters passed on the ccw walk from a before
-        # back, that is: exactly one of b, c in S, both outside {a, back}.
+        # _links[shift_id(n, x, y)], for the letter keys x of a and y of
+        # back, has bit shift_id(n, b, c) set (keys again) when the tripods
+        # (a, b, back) and (a, c, back) are oriented oppositely and neither
+        # b nor c is a or back.  With S the letters passed on the ccw walk
+        # from a before back, that is: exactly one of b, c in S, both
+        # outside {a, back}.
         keys = [letter_key(l) for l in self.letters]
         row, column = (1 << n) - 1, sum(1 << (i * n) for i in range(n))
         links = [0] * (n * n)
@@ -294,7 +295,7 @@ class CyclicOrder:
             rows, cols = row << (x * n), column << x  # b in S, c in S
             at_a = rows | cols
             for y in keys[i + 1:] + keys[:i]:
-                links[x * n + y] = (rows ^ cols) & ~(
+                links[shift_id(n, x, y)] = (rows ^ cols) & ~(
                     at_a | row << (y * n) | column << y)
                 rows |= row << (y * n)
                 cols |= column << y
@@ -321,17 +322,27 @@ def _agreement(a, i, b, j, horizon: int) -> int:
     raise InternalInvariantError("rays agree beyond the Fine-Wilf horizon")
 
 
-def _shift_ids(order, w) -> list:
-    """x * n + y for each shift s of w, n = 4g, with x and y the letter
-    keys of w[s] and -w[s - 1].  With w as the u of a configuration it
-    indexes the _links row of (a, back); as the v it is the bit of (b, c).
+def shift_id(n: int, x: int, y: int) -> int:
+    """Index of a shift s of a word w, n = 4g, with x and y the letter keys
+    of w[s] and -w[s - 1].  With w as the u of a configuration it indexes
+    the link_table row of (a, back); as the v it is the bit of (b, c).
     """
+    return x * n + y
+
+
+def link_table(order) -> list:
+    """The _links table of a CyclicOrder, indexed by shift_id."""
+    return order._links
+
+
+def _shift_ids(order, w) -> list:
+    """shift_id of each shift of w, in order."""
     n = len(order.letters)
     ids = []
     y = letter_key(w[-1]) ^ 1
     for l in w:
         x = 2 * l - 2 if l > 0 else -2 * l - 1  # letter_key, inline
-        ids.append(x * n + y)
+        ids.append(shift_id(n, x, y))
         y = x ^ 1
     return ids
 

@@ -39,7 +39,9 @@ two is evidence rather than tautology.
   side, by deleting the killed letters and freely reducing the rest.
   Together they list the classes that die on a side up to a length.
   These are the references for the sampler's class search and for
-  canonical_unoriented.
+  canonical_unoriented.  Whether the inner shifts of a word are already
+  linked with each other is read tripod by tripod from the cyclic order,
+  not from its link table, as the reference for the search's prune.
 
 * Face counts by enumerating every face, as the reference for the
   f-vector that reduced_homology counts with binomials.
@@ -176,6 +178,20 @@ def dying_classes(rank: int, max_len: int) -> dict:
         if c not in sides:
             sides[c] = {s for s in "OE" if dies_on_side(c, s)}
     return {c: s for c, s in sides.items() if s}
+
+
+def self_linked_shifts(order, w) -> bool:
+    """Whether two of the shifts 1..len(w)-1 of w form a linked base
+    configuration: with a = w[s], back = -w[s-1], b = w[j] and
+    c = -w[j-1], neither b nor c is a or back, and the tripods
+    (a, b, back) and (a, c, back) are oriented oppositely.  Each such
+    shift reads two letters of w, so it is a shift of every word that
+    starts with w, and none of those words is simple."""
+    shifts = [(w[s], -w[s - 1]) for s in range(1, len(w))]
+    return any(
+        b not in (a, back) and c not in (a, back)
+        and order.cyc(a, b, back) != order.cyc(a, c, back)
+        for a, back in shifts for b, c in shifts)
 
 
 # ------------------------------------------------------ crossings by rays

@@ -85,6 +85,12 @@ class TestChainSurface:
             chain_surface(genus)
         assert time.monotonic() - t0 < 1.0
 
+    def test_link_table_limit_falls_between_genus_26_and_27(self):
+        # 32 g^4 bytes: 14,623,232 at g = 26, 17,006,112 at g = 27
+        assert chain_surface(26).genus == 26
+        with pytest.raises(BudgetError, match="17006112-byte link table"):
+            chain_surface(27)
+
     def test_small_genus_rejected(self):
         for bad in (0, 1, -3, 2.0):
             with pytest.raises(HypothesisError):

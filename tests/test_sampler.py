@@ -1,6 +1,7 @@
 """Bounded enumeration of disk-bounding classes and simplex probes."""
 
 import collections
+import hashlib
 import time
 
 import pytest
@@ -26,7 +27,8 @@ import diskcomplex.words as words
 from diskcomplex.ribbon import ChainSurface
 from diskcomplex.words import _linked_configurations, _tripod_masks, disjoint_pairs
 from diskcomplex.handles import disk_vertices
-from oracles import crossings_by_rays, dying_classes, reduced_words
+from oracles import (
+    crossings_by_rays, dying_classes, reduced_words, self_linked_shifts)
 from test_complexes import assert_collapse_keeps_homology
 
 # (genus, budget) pairs small enough to enumerate every reduced word
@@ -118,10 +120,12 @@ class TestSampleGamma:
 class TestClassEnumeration:
     @pytest.mark.parametrize("genus, budget", BRUTE)
     def test_one_canonical_word_per_class(self, monkeypatch, genus, budget):
-        # the gate sees each class that dies on a side once, by its
-        # canonical word, and the search keeps exactly the classes that are
-        # primitive, not the boundary word and free of self-links, each
-        # once, with the sides it dies on
+        # the gate sees a class that dies on a side at most once, by its
+        # canonical word, and skips it only when its shifts 1..n-1 are
+        # linked with each other (the search cut it at the first prefix
+        # where they are, the class itself perhaps); the search keeps
+        # exactly the classes that are primitive, not the boundary word and
+        # free of self-links, each once, with the sides it dies on
         surface = chain_surface(genus)
         order = surface.rose_order
         gated = []
@@ -134,7 +138,10 @@ class TestClassEnumeration:
         found = disk_vertices(surface, budget)
         monkeypatch.undo()
         dying = dying_classes(2 * genus, budget)
-        assert sorted(gated) == sorted(dying)
+        assert len(gated) == len(set(gated))
+        assert set(gated) <= set(dying)
+        assert all(self_linked_shifts(order, w)
+                   for w in set(dying) - set(gated))
         assert len(found) == len({c for c, _ in found})
         want = {
             w: sides for w, sides in dying.items()
@@ -152,7 +159,8 @@ class TestClassEnumeration:
 
     def test_pruned_search_size(self, monkeypatch):
         # 2,047 of the 18,229 classes of length <= 5 at genus 3 die on a
-        # side, and the gate runs once on each
+        # side; the gate runs once on each of the 883 whose inner shifts
+        # do not self-link
         calls = collections.Counter()
         gate = handles._is_disk_word
 
@@ -161,8 +169,30 @@ class TestClassEnumeration:
             return gate(surface, letters)
         monkeypatch.setattr(handles, "_is_disk_word", spy)
         found = disk_vertices(chain_surface(3), 5)
-        assert sum(calls.values()) == len(calls) == 2047
+        assert sum(calls.values()) == len(calls) == 883
         assert len(found) == 105
+
+    @pytest.mark.parametrize("genus, budget, count, sha256", [
+        (2, 8, 122,
+         "200eacd1e5b8035b28b57ebd934d2d2cfa654a620a11616d966d512bc51eefcb"),
+        (3, 6, 275,
+         "04b95911dad1a6bfba022ebcd9aeee023c88e139554e4d8731d519aa0d1dad3c"),
+        (4, 5, 315,
+         "e84702bda689300f5b594b25c172b05cc077bbecf94b91ac0debcf5635ce9607"),
+        (2, 9, 196,
+         "787a2a889fe4e867401f9bbd0562570f4d079940d21d08843d7fb4d29151cc56"),
+    ])
+    def test_disk_vertices_past_the_brute_force_sizes(
+            self, genus, budget, count, sha256):
+        # the (class, sides) list, in order, as the search gave it before
+        # it dropped self-linked prefixes: one line per class, its letters
+        # and then its sides
+        found = disk_vertices(chain_surface(genus), budget)
+        text = "\n".join(
+            " ".join(map(str, c.letters)) + " "
+            + "".join(sorted(s.value for s in sides)) for c, sides in found)
+        assert len(found) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
     def test_past_the_brute_force_sizes(self):
         s = sample_gamma(chain_surface(2), 7, cap=2 * 10**6)
@@ -202,9 +232,18 @@ class TestClassEnumeration:
             self, monkeypatch, chain2):
         # g1, g1^2, ... are the first classes the search gates, one frame
         # deeper each, so a gate that stops at the first other word or at
-        # g1^MAX_CLASS_LENGTH shows how deep the recursion gets
+        # g1^MAX_CLASS_LENGTH shows how deep the recursion gets.  The search
+        # places one letter per shift_id call, one between gates on the
+        # descent, so a search that stops gating stops within bound letters.
+        # (g1, g1^-1) is both (a, back) and (b, c) at every shift of g1^k,
+        # and the link table never marks a shift against itself, so the
+        # self-link prune never cuts the descent
         bound = handles.MAX_CLASS_LENGTH
-        gate = handles._is_disk_word
+        gate, place = handles._is_disk_word, handles.shift_id
+        order = chain2.rose_order
+        i = words.shift_id(len(order.letters), 0, 1)
+        assert not words.link_table(order)[i] >> i & 1
+        ungated = []
 
         class Reached(Exception):
             pass
@@ -212,8 +251,16 @@ class TestClassEnumeration:
         def spy(surface, letters):
             if len(letters) == bound or letters != (1,) * len(letters):
                 raise Reached(letters)
+            ungated.clear()
             return gate(surface, letters)
+
+        def counting(n, x, y):
+            ungated.append(x)
+            if len(ungated) > bound:
+                raise Reached(tuple(ungated))
+            return place(n, x, y)
         monkeypatch.setattr(handles, "_is_disk_word", spy)
+        monkeypatch.setattr(handles, "shift_id", counting)
         with pytest.raises(Reached) as reached:
             disk_vertices(chain2, bound)
         assert reached.value.args[0] == (1,) * bound
