@@ -60,7 +60,6 @@ from .split import (
     bookkeeping_check,
     complement_of_neighborhood,
     cut_along,
-    cut_cycle,
     dims,
     parse_curve_token,
 )
@@ -123,7 +122,6 @@ __all__ = [
     "complement_of_neighborhood",
     "connectivity_probe",
     "cut_along",
-    "cut_cycle",
     "cyclic_reduce",
     "dies_on",
     "dims",

@@ -1,31 +1,26 @@
 """Cutting a chain surface along core circles and neighborhood frontiers.
 
-Two surgeries on the ribbon model, both exact on the level of rotation
-systems:
+One surgery on the ribbon model, exact on the level of rotation systems:
+complement_of_neighborhood removes the open regular neighborhood of a set
+of circles, and removing the neighborhood of a curve is cutting along
+it.  The neighborhood itself is the induced sub-ribbon graph.  For the
+complement we walk each frontier component of that subgraph; every time
+the walk passes a vertex of the ambient graph it may skip over darts that
+do not belong to the neighborhood, and those "gap" darts are exactly the
+edges leaving the neighborhood.  Each nonempty gap becomes a trivalent
+sector vertex on a new circle parallel to the frontier, carrying the gap
+dart plus a forward and backward dart along the circle.  The darts a
+surgery adds are numbered below every dart of the graph it cuts, so they
+never take the number of a surface dart that a later cut looks for.
 
-* cut_cycle slices the surface open along an embedded cycle of edges.
-  Each visited vertex splits in two, the curve edges double into a left
-  and a right copy, and the two copies close up into the two new boundary
-  circles.  Euler characteristic is preserved and the boundary count goes
-  up by two when the complement of the curve stays connected.
-
-* complement_of_neighborhood removes the open regular neighborhood of a
-  set of core circles.  The neighborhood itself is the induced sub-ribbon
-  graph.  For the complement we walk each frontier component of that
-  subgraph; every time the walk passes a vertex of the ambient graph it
-  may skip over darts that do not belong to the neighborhood, and those
-  "gap" darts are exactly the edges leaving the neighborhood.  Each
-  nonempty gap becomes a trivalent sector vertex on a new circle parallel
-  to the frontier, carrying the gap dart plus a forward and backward dart
-  along the circle.
-
-cut_along composes these for a list of named curves (z{i} for core
-circles, x:{j}-{m} for neighborhood frontiers) and reports the components
-with their genus and boundary counts, checking Euler and boundary
-additivity on the way.  The scope is deliberately narrow: frontier cuts
-need even intervals, and the supports must be far enough apart that no
-two surgeries touch a common vertex.  Everything outside that scope
-raises UnsupportedCut rather than guessing.
+cut_along applies it to a list of named curves (z{i} for core circles,
+x:{j}-{m} for neighborhood frontiers) and reports the components with
+their genus and boundary counts, checking the piece count, Euler and
+boundary additivity on the way.  A frontier cut keeps the neighborhood
+N_J as a piece; a core cut drops its annulus.  The scope is deliberately
+narrow: frontier cuts need even intervals, and the supports must be far
+enough apart that no two surgeries touch a common vertex.  Everything
+outside that scope raises UnsupportedCut rather than guessing.
 """
 
 from __future__ import annotations
@@ -71,61 +66,6 @@ def parse_curve_token(text: str):
     )
 
 
-def cut_cycle(graph: RibbonGraph, walk) -> RibbonGraph:
-    """Cut the ribbon surface open along a cycle of darts.
-
-    The walk lists one dart per edge of the cycle, head to tail.  Each
-    edge may appear once and each vertex may be visited once; repeated
-    visits would need a finer local model and raise UnsupportedCut.
-    """
-    walk = tuple(walk)
-    if not walk:
-        raise UnsupportedCut("empty cutting cycle")
-    support = set()
-    for d in walk:
-        support.add(d)
-        support.add(graph.reverse_of(d))
-    if len(support) != 2 * len(walk):
-        raise UnsupportedCut("cutting cycle repeats an edge")
-
-    visits = []  # (vertex index, out dart, in dart)
-    seen_vertices = set()
-    for t, d in enumerate(walk):
-        head = graph._vertex_of[graph.reverse_of(d)]
-        nxt = walk[(t + 1) % len(walk)]
-        if graph._vertex_of[nxt] != head:
-            raise UnsupportedCut("dart sequence is not a closed walk")
-        if head in seen_vertices:
-            raise UnsupportedCut("cutting cycle visits a vertex twice")
-        seen_vertices.add(head)
-        visits.append((head, nxt, graph.reverse_of(d)))
-
-    fresh = max(graph.darts) + 1
-    right = {}
-    for d in sorted(support):
-        right[d] = fresh
-        fresh += 1
-
-    rot = []
-    for idx, cycle in enumerate(graph.rot):
-        hit = [v for v in visits if v[0] == idx]
-        if not hit:
-            rot.append(tuple(cycle))
-            continue
-        _, out, inn = hit[0]
-        k = cycle.index(out)
-        turned = cycle[k:] + cycle[:k]
-        split = turned.index(inn)
-        left_arc = turned[1:split]
-        right_arc = turned[split + 1:]
-        rot.append((out,) + tuple(left_arc) + (inn,))
-        rot.append((right[inn],) + tuple(right_arc) + (right[out],))
-
-    rev = list(graph.rev)
-    rev += [(right[d], right[e]) for d, e in graph.rev if d in support]
-    return RibbonGraph(rot=tuple(rot), rev=tuple(rev))
-
-
 def complement_of_neighborhood(graph: RibbonGraph, support_darts) -> RibbonGraph:
     """Ribbon graph of the surface minus an open neighborhood of circles.
 
@@ -139,7 +79,7 @@ def complement_of_neighborhood(graph: RibbonGraph, support_darts) -> RibbonGraph
     sub = graph.subgraph(support)
     walks = sub.boundary_walks()
 
-    fresh = max(graph.darts) + 1
+    fresh = min(0, *graph.darts) - 1
     rot = []
     rev_pairs = [(d, e) for d, e in graph.rev if d not in support]
 
@@ -180,8 +120,8 @@ def complement_of_neighborhood(graph: RibbonGraph, support_darts) -> RibbonGraph
         bwd = []
         for _ in sectors:
             fwd.append(fresh)
-            bwd.append(fresh + 1)
-            fresh += 2
+            bwd.append(fresh - 1)
+            fresh -= 2
         for s, gap in enumerate(sectors):
             rot.append((fwd[s], bwd[s]) + gap)
             rev_pairs.append((fwd[s], bwd[(s + 1) % len(sectors)]))
@@ -245,43 +185,42 @@ def _validate_scope(genus: int, specs) -> None:
 
 
 def cut_along(surface: ChainSurface, specs) -> SplitReport:
-    """Cut along the named curves and report the resulting components."""
+    """Cut along the named curves and report the resulting components.
+
+    Every cut removes the neighborhood of its circles from the piece that
+    holds them: the circles j..m for x:j-m, whose neighborhood N_J stays
+    as a piece, and circle i for z_i, whose annulus is dropped.  Frontiers
+    are cut first, so a core inside an interval is cut in N_J.
+    """
     specs = [parse_curve_token(s) if isinstance(s, str) else s for s in specs]
     if not specs:
         raise DomainError("nothing to cut along")
     _validate_scope(surface.genus, specs)
 
     pieces = [surface.graph]
-
-    def piece_with(darts):
-        for i, p in enumerate(pieces):
-            if darts <= set(p.darts):
-                return i
-        raise InternalInvariantError("cut support spread over several pieces")
-
-    nbhds = sorted(
-        (s for s in specs if isinstance(s, NeighborhoodBoundary)),
-        key=lambda s: s.j,
-    )
-    for s in nbhds:
-        support = frozenset(surface.interval_darts(s.j, s.m))
-        i = piece_with(support)
+    for s in sorted(specs, key=lambda s: isinstance(s, CoreCurve)):
+        if isinstance(s, CoreCurve):
+            support = surface.circle_darts(s.index)
+        else:
+            support = surface.interval_darts(s.j, s.m)
+        i = next((i for i, p in enumerate(pieces) if support <= p.darts), None)
+        if i is None:
+            raise InternalInvariantError("cut support spread over several pieces")
         ambient = pieces[i]
-        pieces[i:i + 1] = [
-            ambient.subgraph(support),
-            complement_of_neighborhood(ambient, support),
-        ]
-    for s in specs:
-        if not isinstance(s, CoreCurve):
-            continue
-        walk = surface.core_walks[s.index - 1]
-        needed = set(walk) | {surface.graph.reverse_of(d) for d in walk}
-        i = piece_with(needed)
-        pieces[i] = cut_cycle(pieces[i], walk)
+        kept = [] if isinstance(s, CoreCurve) else [ambient.subgraph(support)]
+        pieces[i:i + 1] = kept + [complement_of_neighborhood(ambient, support)]
 
     parts = [c for p in pieces for c in p.components()]
     pairs = sorted(((c.genus, c.n_boundaries) for c in parts), reverse=True)
 
+    # Every piece but the one holding the boundary of the surface is
+    # bounded by cut curves alone.  Over Z/2 the cores are a basis of H_1,
+    # so only frontiers can bound, and an even frontier bounds its N_J.
+    n_frontiers = sum(isinstance(s, NeighborhoodBoundary) for s in specs)
+    if len(parts) != 1 + n_frontiers:
+        raise InternalInvariantError(
+            f"{len(parts)} pieces, not 1 + {n_frontiers} frontiers"
+        )
     chi = surface.graph.euler_characteristic
     if sum(p.euler_characteristic for p in parts) != chi:
         raise InternalInvariantError("Euler characteristic not additive over cut")

@@ -137,6 +137,21 @@ class TestSplit:
             '"curves":["z1"]}\n'
         )
 
+    @pytest.mark.parametrize("g, curves, components", [
+        ("4", "z2,z4,z6,x:1-4", "(1,4) (0,5)"),
+        ("3", "z1,z3,z6,x:1-4", "(0,5) (0,4)"),
+    ])
+    def test_cores_inside_and_beyond_an_interval(
+            self, capsys, g, curves, components):
+        code, out, _ = cap(capsys, ["split", "-g", g, "--curves", curves])
+        assert code == 0
+        assert out == (
+            f"ambient     genus {g}, 1 boundary\n"
+            f"curves      {curves.replace(',', ' ')}\n"
+            f"components  {components}\n"
+            "check       ok\n"
+        )
+
     def test_crossing_curves_exit_two(self, capsys):
         code, _, err = cap(capsys, ["split", "-g", "2", "--curves", "z1,z2"])
         assert code == 2

@@ -1,5 +1,7 @@
 """Cutting the chain surface along cores and interval frontiers."""
 
+import itertools
+
 import pytest
 
 from diskcomplex import (
@@ -13,8 +15,8 @@ from diskcomplex import (
     UnsupportedCut,
     bookkeeping_check,
     chain_surface,
+    complement_of_neighborhood,
     cut_along,
-    cut_cycle,
     dims,
     parse_curve_token,
 )
@@ -43,31 +45,33 @@ class TestParseCurveToken:
             cut_along(chain_surface(2), ["x:2-1"])
 
 
-class TestCutCycle:
+class TestComplementOfNeighborhood:
     def torus_rose(self):
         return RibbonGraph(rot=((1, 3, 2, 4),), rev=((1, 2), (3, 4)))
 
     def test_torus_cut_to_pants(self):
-        cut = cut_cycle(self.torus_rose(), (1,))
-        assert cut.n_vertices == 2
-        assert cut.n_edges == 3
-        assert cut.n_boundaries == 3
-        assert cut.genus == 0
+        cut = complement_of_neighborhood(self.torus_rose(), {1, 2})
+        assert [(c.genus, c.n_boundaries) for c in cut.components()] == [(0, 3)]
+        assert cut.euler_characteristic == -1
 
     def test_chain_core_cut_preserves_euler(self):
         S = chain_surface(2)
-        cut = cut_cycle(S.graph, S.core_walks[0])
+        cut = complement_of_neighborhood(S.graph, S.circle_darts(1))
         assert cut.euler_characteristic == S.graph.euler_characteristic
-        assert cut.n_boundaries == 3
-        assert cut.genus == 1
+        assert (cut.genus, cut.n_boundaries) == (1, 3)
 
-    def test_empty_walk_rejected(self):
+    def test_new_darts_below_the_graphs(self):
+        S = chain_surface(2)
+        support = S.circle_darts(1)
+        cut = complement_of_neighborhood(S.graph, support)
+        assert cut.darts & S.graph.darts == S.graph.darts - support
+        assert max(cut.darts - S.graph.darts) < min(0, *S.graph.darts)
+        again = complement_of_neighborhood(cut, S.circle_darts(3))
+        assert max(again.darts - cut.darts) < min(cut.darts)
+
+    def test_empty_support_rejected(self):
         with pytest.raises(UnsupportedCut, match="empty"):
-            cut_cycle(self.torus_rose(), ())
-
-    def test_edge_repeat_rejected(self):
-        with pytest.raises(UnsupportedCut, match="repeats"):
-            cut_cycle(self.torus_rose(), (1, 2))
+            complement_of_neighborhood(self.torus_rose(), ())
 
 
 # every row checked against Euler additivity and the boundary count below
@@ -86,7 +90,21 @@ FROZEN_CUTS = [
     (3, ["x:1-4"], ((2, 1), (1, 2))),
     (3, ["x:1-2", "x:5-6"], ((1, 3), (1, 1), (1, 1))),
     (3, ["z1", "x:3-4"], ((1, 4), (1, 1))),
+    # a core cut in N_J once took new darts whose numbers z6 still had
+    (4, ["z2", "z4", "z6", "x:1-4"], ((1, 4), (0, 5))),
+    (3, ["z1", "z3", "z6", "x:1-4"], ((0, 5), (0, 4))),
 ]
+
+
+def curve_tokens(g):
+    """Cores and the frontiers of even intervals other than the full one."""
+    n = 2 * g
+    return [f"z{i}" for i in range(1, n + 1)] + [
+        f"x:{j}-{m}"
+        for j in range(1, n + 1)
+        for m in range(j + 1, n + 1, 2)
+        if (j, m) != (1, n)
+    ]
 
 
 class TestCutAlong:
@@ -108,6 +126,24 @@ class TestCutAlong:
         report = cut_along(chain_surface(3), ["x:2-5"])
         assert report.components == tuple(
             sorted(report.components, reverse=True))
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_order_of_the_cuts_does_not_matter(self, g):
+        S = chain_surface(g)
+
+        def cut(specs):
+            try:
+                return cut_along(S, specs).components
+            except UnsupportedCut:
+                return None
+
+        for k in range(1, 5):
+            for specs in itertools.combinations(curve_tokens(g), k):
+                components = cut(list(specs))
+                assert components == cut(list(reversed(specs))), specs
+                if components is not None:
+                    n_frontiers = sum(t.startswith("x") for t in specs)
+                    assert len(components) == 1 + n_frontiers, specs
 
     def test_odd_interval_rejected(self):
         with pytest.raises(UnsupportedCut, match="odd interval"):
