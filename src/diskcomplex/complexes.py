@@ -235,8 +235,6 @@ def smith_normal_form(matrix) -> tuple:
             elif c in drow:
                 del drow[c]
                 cols[c].discard(dst)
-                if not cols[c]:
-                    del cols[c]
         if not drow:
             del rows[dst]
 

@@ -15,22 +15,24 @@ never take the number of a surface dart that a later cut looks for.
 
 cut_along applies it to a list of named curves (z{i} for core circles,
 x:{j}-{m} for neighborhood frontiers) and reports the components with
-their genus and boundary counts, checking the piece count, Euler and
-boundary additivity on the way.  A frontier cut keeps the neighborhood
-N_J as a piece; a core cut drops its annulus.  The scope is deliberately
-narrow: frontier cuts need even intervals, and the supports must be far
-enough apart that no two surgeries touch a common vertex.  Everything
-outside that scope raises UnsupportedCut rather than guessing.
+their genus and boundary counts, checking the piece count and the
+bookkeeping of the report on the way.  A frontier cut keeps the
+neighborhood N_J as a piece; a core cut drops its annulus.  The scope is
+curves that are pairwise disjoint, as words.disjoint_pairs decides it for
+their classes, with frontiers of even intervals only.  Everything outside
+that scope raises UnsupportedCut rather than guessing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import DomainError, HypothesisError, InternalInvariantError, UnsupportedCut
-from .intervals import Interval
+from .intervals import Interval, interval_walks
 from .ribbon import ChainSurface, RibbonGraph
+from .words import disjoint_pairs
 
 
 @dataclass(frozen=True)
@@ -147,62 +149,52 @@ class SplitReport:
     curve_names: tuple
 
 
-def _validate_scope(genus: int, specs) -> None:
-    n = 2 * genus
-    cores = [s for s in specs if isinstance(s, CoreCurve)]
-    nbhds = [s for s in specs if isinstance(s, NeighborhoodBoundary)]
+def _validate_scope(surface: ChainSurface, specs) -> None:
+    n = surface.n_circles
     if len(set(specs)) != len(specs):
         raise UnsupportedCut("repeated curve in cut list")
-    for s in cores:
-        if not 1 <= s.index <= n:
-            raise DomainError(f"core index {s.index} outside 1..{n}")
-    intervals = [Interval(s.j, s.m, n) for s in nbhds]  # range check
-    for s in intervals:
-        if s.size % 2:
+    classes = []
+    for s in specs:
+        if isinstance(s, CoreCurve):
+            if not 1 <= s.index <= n:
+                raise DomainError(f"core index {s.index} outside 1..{n}")
+            classes.append(surface.core_class(s.index))
+            continue
+        interval = Interval(s.j, s.m, n)  # range check
+        if interval.size % 2:
             raise UnsupportedCut(
-                f"odd interval {s}: its frontier has two components and "
-                "no canonical single cut"
+                f"odd interval {interval}: its frontier has two components "
+                "and no canonical single cut"
             )
-    for a in range(len(cores)):
-        for b in range(a + 1, len(cores)):
-            if abs(cores[a].index - cores[b].index) < 2:
-                raise UnsupportedCut(
-                    f"{cores[a]} and {cores[b]} intersect; cut one at a time"
-                )
-    ordered = sorted(intervals, key=lambda s: s.j)
-    for a in range(len(ordered) - 1):
-        if ordered[a + 1].j - ordered[a].m - 1 < 2:
-            raise UnsupportedCut(
-                f"intervals {ordered[a]} and {ordered[a + 1]} are too close; "
-                "their surgeries share a vertex"
-            )
-    for c in cores:
-        for s in intervals:
-            if c.index in (s.j - 1, s.m + 1):
-                raise UnsupportedCut(
-                    f"{c} touches the frontier region of {s}"
-                )
+        classes.append(surface.walk_class(interval_walks(surface, interval)[0]))
+    disjoint = set(disjoint_pairs(surface, classes))
+    for a, b in combinations(range(len(specs)), 2):
+        if (a, b) not in disjoint:
+            raise UnsupportedCut(f"{specs[a]} and {specs[b]} intersect")
 
 
 def cut_along(surface: ChainSurface, specs) -> SplitReport:
     """Cut along the named curves and report the resulting components.
 
-    Every cut removes the neighborhood of its circles from the piece that
-    holds them: the circles j..m for x:j-m, whose neighborhood N_J stays
-    as a piece, and circle i for z_i, whose annulus is dropped.  Frontiers
-    are cut first, so a core inside an interval is cut in N_J.
+    The curves must be pairwise disjoint.  Every cut removes the
+    neighborhood of its circles from the piece that holds them: the
+    circles j..m for x:j-m, whose neighborhood N_J stays as a piece, and
+    circle i for z_i, whose annulus is dropped.  The largest support is
+    cut first, so a frontier is cut before the cores and the frontiers
+    nested in its interval, and those are cut in N_J.
     """
     specs = [parse_curve_token(s) if isinstance(s, str) else s for s in specs]
     if not specs:
         raise DomainError("nothing to cut along")
-    _validate_scope(surface.genus, specs)
+    _validate_scope(surface, specs)
 
+    supports = [
+        surface.circle_darts(s.index) if isinstance(s, CoreCurve)
+        else surface.interval_darts(s.j, s.m)
+        for s in specs
+    ]
     pieces = [surface.graph]
-    for s in sorted(specs, key=lambda s: isinstance(s, CoreCurve)):
-        if isinstance(s, CoreCurve):
-            support = surface.circle_darts(s.index)
-        else:
-            support = surface.interval_darts(s.j, s.m)
+    for s, support in sorted(zip(specs, supports), key=lambda p: -len(p[1])):
         i = next((i for i, p in enumerate(pieces) if support <= p.darts), None)
         if i is None:
             raise InternalInvariantError("cut support spread over several pieces")
@@ -221,22 +213,16 @@ def cut_along(surface: ChainSurface, specs) -> SplitReport:
         raise InternalInvariantError(
             f"{len(parts)} pieces, not 1 + {n_frontiers} frontiers"
         )
-    chi = surface.graph.euler_characteristic
-    if sum(p.euler_characteristic for p in parts) != chi:
-        raise InternalInvariantError("Euler characteristic not additive over cut")
-    total_b = sum(b for _, b in pairs)
-    if total_b != 2 * len(specs) + surface.graph.n_boundaries:
-        raise InternalInvariantError(
-            f"boundary count {total_b} != 2*{len(specs)} + "
-            f"{surface.graph.n_boundaries}"
-        )
-    return SplitReport(
+    report = SplitReport(
         ambient_genus=surface.genus,
         ambient_boundaries=surface.graph.n_boundaries,
         n_curves=len(specs),
         components=tuple(pairs),
         curve_names=tuple(str(s) for s in specs),
     )
+    if not bookkeeping_check(report):
+        raise InternalInvariantError("splitting report fails its bookkeeping")
+    return report
 
 
 def bookkeeping_check(report: SplitReport) -> bool:

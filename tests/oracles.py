@@ -49,6 +49,10 @@ two is evidence rather than tautology.
 * Maximal cliques by subset enumeration, and the quadratic dominance
   filter that reduces a facet list to its maximal faces, as references
   for the clique enumerator and for homology on lists with nested faces.
+
+* Cut pieces in closed form: the genus and boundary count of each piece
+  of the chain surface cut along cores and a laminar family of even
+  interval frontiers, by subtracting nested neighbourhoods.
 """
 
 from itertools import combinations
@@ -295,6 +299,46 @@ def branch_crossing(jm_a, jm_b) -> int:
     if odd_a + odd_b == 1:
         return 2
     return 1 if len(a & b) % 2 else 2
+
+
+# ---------------------------------------------------------------- cut pieces
+
+
+def laminar_cut_pieces(genus: int, cores, intervals) -> tuple:
+    """(genus, boundaries) of the pieces of the genus-g chain surface cut
+    along cores z_i and the frontiers of even intervals [j, m], sorted
+    largest first.
+
+    The intervals must form a laminar family: any two are nested or
+    disjoint.  Each interval J, and the whole chain with |J| = 2g, gives
+    one piece: N_J, of genus |J|/2 and one boundary, less the N_K of its
+    children K, each taking |K|/2 genus and adding one boundary, and cut
+    along the cores that lie in J but in no child, each taking one genus
+    and adding two boundaries.
+    """
+    family = [(1, 2 * genus)] + sorted(set(intervals))
+    for j, m in family[1:]:
+        if (m - j + 1) % 2:
+            raise ValueError(f"odd interval [{j},{m}]")
+    for (a, b), (c, d) in combinations(family[1:], 2):
+        if not (b < c or d < a or a <= c <= d <= b or c <= a <= b <= d):
+            raise ValueError(f"[{a},{b}] and [{c},{d}] overlap")
+
+    def parent(lo, hi):
+        return min((J for J in family
+                    if J != (lo, hi) and J[0] <= lo and hi <= J[1]),
+                   key=lambda J: J[1] - J[0])
+
+    pieces = {J: [(J[1] - J[0] + 1) // 2, 1] for J in family}
+    for K in family[1:]:
+        piece = pieces[parent(*K)]
+        piece[0] -= (K[1] - K[0] + 1) // 2
+        piece[1] += 1
+    for i in cores:
+        piece = pieces[parent(i, i)]
+        piece[0] -= 1
+        piece[1] += 2
+    return tuple(sorted((tuple(p) for p in pieces.values()), reverse=True))
 
 
 # ------------------------------------------------------ exact linear algebra

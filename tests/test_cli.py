@@ -140,6 +140,11 @@ class TestSplit:
     @pytest.mark.parametrize("g, curves, components", [
         ("4", "z2,z4,z6,x:1-4", "(1,4) (0,5)"),
         ("3", "z1,z3,z6,x:1-4", "(0,5) (0,4)"),
+        # a facet of the interval sphere: nested frontiers and the cores
+        # inside and beyond each
+        ("4", "z1,x:1-2,x:1-4,x:1-6,z4,z6,z8", "(0,4) (0,4) (0,4) (0,3)"),
+        # frontiers one circle apart
+        ("3", "x:1-2,x:4-5", "(1,3) (1,1) (1,1)"),
     ])
     def test_cores_inside_and_beyond_an_interval(
             self, capsys, g, curves, components):
@@ -157,11 +162,17 @@ class TestSplit:
         assert code == 2
         assert "intersect" in err
 
+    @pytest.mark.parametrize("curves", ["x:1-2,x:3-4", "z3,x:1-2"])
+    def test_crossing_frontiers_exit_two(self, capsys, curves):
+        code, _, err = cap(capsys, ["split", "-g", "2", "--curves", curves])
+        assert code == 2
+        assert f"{curves.replace(',', ' and ')} intersect" in err
+
     def test_corrupt_report_exits_one(self, capsys, monkeypatch):
-        import diskcomplex.cli as cli
+        import diskcomplex.split as split
 
         monkeypatch.setattr(
-            cli, "bookkeeping_check", lambda report: False)
+            split, "bookkeeping_check", lambda report: False)
         code, _, err = cap(capsys, ["split", "-g", "2", "--curves", "z1"])
         assert code == 1
         assert "bookkeeping" in err
@@ -346,6 +357,27 @@ class TestPersistence:
             want = cap(capsys, ["homology", str(clean)] + flags)
             assert want[0] == 0
             assert cap(capsys, ["homology", str(resigned)] + flags) == want
+
+    def test_homology_of_a_resigned_low_dimensional_document(self, capsys,
+                                                            tmp_path):
+        # the ridges of the g=2 sphere form a circle, not a 2-sphere: its
+        # Betti numbers stop below the degree the verdict reads
+        path = tmp_path / "g2.json"
+        cap(capsys, ["bbm", "build", "-g", "2", "--out", str(path)])
+        doc = json.loads(path.read_text())
+        doc["payload"]["facets"] = [[0, 1], [1, 2], [0, 2]]
+        doc["manifest"]["payload_sha256"] = payload_sha256(doc["payload"])
+        path.write_text(json.dumps(doc))
+        code, out, _ = cap(capsys, ["homology", str(path)])
+        assert code == 0
+        assert out == (
+            "schema    diskcx/bbm-complex/1\n"
+            "f-vector  (3, 3)\n"
+            "betti     (0, 1)\n"
+            "torsion   none\n"
+            "leftover  (0, 1)\n"
+            "sphere    NO (dimension 2)\n"
+        )
 
     def test_unknown_schema_exits_two(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

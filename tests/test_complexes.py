@@ -122,6 +122,10 @@ class TestSimplicialComplex:
         with pytest.raises(DomainError):
             SimplicialComplex.from_facets([])
 
+    def test_empty_facet_rejected(self):
+        with pytest.raises(DomainError, match="empty facet"):
+            SimplicialComplex.from_facets([(0, 1), ()])
+
     def test_f_vector_and_euler(self):
         cells = reduced_homology(SimplicialComplex.from_facets(OCTAHEDRON)).cells
         assert cells == (6, 12, 8)

@@ -14,12 +14,14 @@ from diskcomplex import (
     SplitReport,
     UnsupportedCut,
     bookkeeping_check,
+    build_complex,
     chain_surface,
     complement_of_neighborhood,
     cut_along,
     dims,
     parse_curve_token,
 )
+from oracles import laminar_cut_pieces
 
 
 class TestParseCurveToken:
@@ -93,6 +95,11 @@ FROZEN_CUTS = [
     # a core cut in N_J once took new darts whose numbers z6 still had
     (4, ["z2", "z4", "z6", "x:1-4"], ((1, 4), (0, 5))),
     (3, ["z1", "z3", "z6", "x:1-4"], ((0, 5), (0, 4))),
+    # frontiers one circle apart, nested, and nested around a core
+    (3, ["x:1-2", "x:4-5"], ((1, 3), (1, 1), (1, 1))),
+    (3, ["x:1-2", "x:1-4"], ((1, 2), (1, 2), (1, 1))),
+    (3, ["x:1-4", "x:2-3"], ((1, 2), (1, 2), (1, 1))),
+    (3, ["z1", "x:3-6", "x:4-5"], ((1, 2), (1, 1), (0, 4))),
 ]
 
 
@@ -104,6 +111,30 @@ def curve_tokens(g):
         for j in range(1, n + 1)
         for m in range(j + 1, n + 1, 2)
         if (j, m) != (1, n)
+    ]
+
+
+def closed_form_pieces(g, tokens):
+    """laminar_cut_pieces of a list of z<i> and x:<j>-<m> tokens."""
+    cores = [int(t[1:]) for t in tokens if t.startswith("z")]
+    intervals = [tuple(map(int, t[2:].split("-")))
+                 for t in tokens if t.startswith("x")]
+    return laminar_cut_pieces(g, cores, intervals)
+
+
+def interval_sphere_facets(g):
+    """Facets of the interval sphere whose vertices are all cores or even
+    frontiers, as cut lists: [i,i] is z_i and an even [j,m] is x:j-m."""
+    build = build_complex(chain_surface(g))
+    names = [
+        f"z{iv.j}" if iv.size == 1
+        else None if iv.size % 2 else f"x:{iv.j}-{iv.m}"
+        for iv in (v.interval for v in build.vertices)
+    ]
+    return [
+        [names[v] for v in facet]
+        for facet in build.complex.facets
+        if all(names[v] for v in facet)
     ]
 
 
@@ -142,8 +173,20 @@ class TestCutAlong:
                 components = cut(list(specs))
                 assert components == cut(list(reversed(specs))), specs
                 if components is not None:
-                    n_frontiers = sum(t.startswith("x") for t in specs)
-                    assert len(components) == 1 + n_frontiers, specs
+                    assert components == closed_form_pieces(g, specs), specs
+
+    @pytest.mark.parametrize("g, n_facets", [(2, 4), (3, 8), (4, 16)])
+    def test_facets_of_the_interval_sphere_cut_into_spheres(self, g, n_facets):
+        # a facet is a maximal system of disjoint curves, so each piece
+        # is a sphere with holes
+        S = chain_surface(g)
+        facets = interval_sphere_facets(g)
+        assert len(facets) == n_facets
+        for specs in facets:
+            components = cut_along(S, specs).components
+            n_frontiers = sum(t.startswith("x") for t in specs)
+            assert len(components) == 1 + n_frontiers, specs
+            assert all(genus == 0 for genus, _ in components), specs
 
     def test_odd_interval_rejected(self):
         with pytest.raises(UnsupportedCut, match="odd interval"):
@@ -154,11 +197,13 @@ class TestCutAlong:
             cut_along(chain_surface(2), ["z1", "z2"])
 
     def test_adjacent_intervals_rejected(self):
-        with pytest.raises(UnsupportedCut, match="too close"):
+        # i(x_[1,2], x_[3,4]) = 4 at g = 2
+        with pytest.raises(UnsupportedCut, match="intersect"):
             cut_along(chain_surface(2), ["x:1-2", "x:3-4"])
 
     def test_core_on_the_frontier_rejected(self):
-        with pytest.raises(UnsupportedCut, match="touches"):
+        # i(z3, x_[1,2]) = 2 at g = 2
+        with pytest.raises(UnsupportedCut, match="intersect"):
             cut_along(chain_surface(2), ["z3", "x:1-2"])
 
     def test_repeated_curve_rejected(self):
