@@ -16,6 +16,7 @@ from .complexes import (
     PseudomanifoldReport,
     SimplicialComplex,
     collapse_dominated_edges,
+    flag_cells,
     flag_from_graph,
     pseudomanifold_check,
     reduced_homology,
@@ -49,6 +50,7 @@ from .sampler import (
     ConnectivityProbe,
     GammaSample,
     connectivity_probe,
+    flag_homology,
     max_simplex_probe,
     sample_gamma,
 )
@@ -126,7 +128,9 @@ __all__ = [
     "dies_on",
     "dims",
     "disk_vertices",
+    "flag_cells",
     "flag_from_graph",
+    "flag_homology",
     "free_reduce",
     "geometric_intersection",
     "interval_walks",

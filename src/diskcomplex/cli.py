@@ -25,6 +25,16 @@ strings with SchemaError instead of guessing, and so are documents whose
 payload no longer matches manifest.payload_sha256 or lacks the fields
 `homology` reads.
 
+homology names the path it took.  A gamma document's payload lists the
+edges of the disjointness graph beside the facets; when the facets
+generate exactly the flag complex of those edges (complexes.flag_cells),
+the homology is read off the graph's dominated-edge core
+(sampler.flag_homology) and the path is "core".  Every other document,
+every bbm document among them, takes the "faces" path: reduced_homology
+of the listed facets.  The two give the same f-vector, Betti numbers and
+torsion; leftover describes the complex that was reduced, so on the core
+path it is the core's.
+
 Exit codes: 0 on success, 2 on rejected input (DomainError), 1 on a
 violated internal invariant, which means a bug, not bad input.
 """
@@ -38,16 +48,22 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .complexes import SimplicialComplex, reduced_homology
+from .complexes import SimplicialComplex, flag_cells, reduced_homology
 from .errors import DomainError, InternalInvariantError, SchemaError
 from .handles import bounds_disk_sides
 from .intervals import build_complex
 from .ribbon import chain_surface
-from .sampler import connectivity_probe, max_simplex_probe, sample_gamma
+from .sampler import (
+    connectivity_probe,
+    flag_homology,
+    max_simplex_probe,
+    sample_gamma,
+)
 from .split import cut_along, dims
 from .words import (
     CurveClass,
@@ -118,6 +134,20 @@ def load_document(path: Path) -> dict:
         genus = payload.get("genus")
         if type(genus) is not int or genus < 2:
             raise SchemaError(f"{path}: payload.genus must be an int >= 2")
+    elif "edges" in payload:
+        edges = payload["edges"]
+        if not (
+            isinstance(edges, list)
+            and all(
+                isinstance(e, list) and len(e) == 2
+                and all(type(v) is int for v in e) and e[0] != e[1]
+                for e in edges
+            )
+        ):
+            raise SchemaError(
+                f"{path}: payload.edges must be a list of pairs of distinct "
+                "int vertex ids"
+            )
     return doc
 
 
@@ -201,9 +231,21 @@ def cmd_bbm_build(args) -> list:
 def cmd_homology(args) -> list:
     doc = load_document(args.path)
     payload = doc["payload"]
-    profile = reduced_homology(SimplicialComplex.from_facets(payload["facets"]))
+    complex_ = SimplicialComplex.from_facets(payload["facets"])
+    cells = None
+    if doc["schema"] == SCHEMA_GAMMA and "edges" in payload:
+        cells = flag_cells(complex_, payload["edges"])
+    if cells is None:
+        path, profile = "faces", reduced_homology(complex_)
+    else:
+        vertices = {v for f in complex_.facets for v in f}
+        path = "core"
+        profile = replace(
+            flag_homology(vertices, payload["edges"], len(cells) - 1),
+            cells=cells)
     rows = [
         ("schema", "schema", doc["schema"]),
+        ("path", "path", path),
         ("f-vector", "f_vector", profile.cells),
         ("betti", "betti", profile.betti),
         ("torsion", None, profile.torsion if any(profile.torsion) else "none"),

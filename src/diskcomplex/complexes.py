@@ -45,10 +45,15 @@ collapse_dominated_edges removes the edges of a graph that are dominated
 (Boissonnat and Pritam, SoCG 2020): each removal is a sequence of
 elementary collapses of the flag complex, so the flag complex of the
 graph left has the same homotopy type, and reduced_homology of it gives
-the same answer over Z.  The sampler's connectivity probe uses it, where
-it keeps 1,027 of the 7,253 cells at g = 3, L = 5.  The sphere
-certificate does not: no edge of an interval sphere is dominated, since
-the link of an edge of a flag sphere is a sphere and never a cone.
+the same answer over Z.  sampler.flag_homology uses it for the sampler's
+connectivity probe and for diskcx homology on a gamma document, where it
+keeps 1,027 of the 7,253 cells at g = 3, L = 5.  Such a document lists
+facets and edges, and flag_cells checks that the facets generate the
+flag complex of the edges before the edges are trusted; its clique walk
+builds no face and gives the f-vector, which the core cannot.  The
+sphere certificate does not collapse: no edge of an interval sphere is
+dominated, since the link of an edge of a flag sphere is a sphere and
+never a cone.
 """
 from __future__ import annotations
 
@@ -69,6 +74,12 @@ from .errors import BudgetError, DomainError
 # limit leaves 10.9x room above it and refuses a lone facet outside A of 24
 # or more vertices.
 MAX_RELATIVE_SUBSETS = 12_000_000
+
+# The clique walk of flag_cells takes one step for every face of a flag
+# complex.  The largest sample it serves, g = 4, L = 7, has 20,700,830
+# faces, walked in about 12 s on a 2-CPU host; this limit leaves 2.4x room
+# above it.
+MAX_CLIQUES = 50_000_000
 
 # ---------------------------------------------------------------- complex
 
@@ -163,6 +174,73 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
     )
 
 
+def flag_cells(complex_: SimplicialComplex, edges):
+    """The f-vector of the flag complex of edges, when complex_ generates it.
+
+    It does when every listed face is a clique of the graph and every
+    maximal clique is a listed face, whatever else is listed: repeated
+    faces and faces of other listed faces.  The vertices are those of the
+    listed faces and of the edges.  Returns None when it does not, and
+    when a listed face has more than MAX_RELATIVE_SUBSETS vertex subsets:
+    reduced_homology then decides whether its face path can take it.
+
+    One depth-first walk on int bitmasks over the sorted vertices reaches
+    each clique once, from the empty one, adding a vertex above the
+    clique's highest one and adjacent to all of it (cand).  It builds no
+    face list: a clique's children are counted by the size of cand, and
+    only the children with candidates of their own are visited.  A clique
+    is maximal when no vertex is adjacent to all of it (common is empty).
+    The walk stops at the first maximal clique that is not listed and at
+    the first clique larger than every listed face, and raises
+    BudgetError past MAX_CLIQUES cliques.
+    """
+    width = max(map(len, complex_.facets))
+    if 1 << width > MAX_RELATIVE_SUBSETS:
+        return None
+    order, adj = _adjacency(
+        {v for f in complex_.facets for v in f} | {v for e in edges for v in e},
+        edges)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    closed = {v: adj[i] | 1 << i for i, v in enumerate(order)}
+    listed = set()
+    for f in complex_.facets:
+        mask = sum(map(bit.__getitem__, f))
+        if reduce(and_, map(closed.__getitem__, f)) & mask != mask:
+            return None
+        listed.add(mask)
+    counts = [0] * (width + 2)
+    total = 0
+
+    def walk(clique, size, common, cand):
+        # counts[size] gains the children, cliques of size vertices
+        nonlocal total
+        if size > width:
+            return False
+        free = cand.bit_count()
+        counts[size] += free
+        total += free
+        if total > MAX_CLIQUES:
+            raise BudgetError(
+                f"the flag complex of the edges has more than {MAX_CLIQUES} "
+                "faces, the limit of the clique walk that counts them")
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            below = common & adj[low.bit_length() - 1]
+            if not below:
+                if clique | low not in listed:
+                    return False
+            elif cand & below and not walk(clique | low, size + 1, below,
+                                           cand & below):
+                return False
+        return True
+
+    everything = (1 << len(order)) - 1
+    if not walk(0, 1, everything, everything):
+        return None
+    return tuple(counts[1:counts.index(0, 1)])
+
+
 def collapse_dominated_edges(vertices, edges) -> tuple:
     """Edges left after removing dominated edges until none is left.
 
@@ -175,21 +253,43 @@ def collapse_dominated_edges(vertices, edges) -> tuple:
     removal keeps its component connected, and the core keeps a spanning
     forest of every component.  Returns the kept edges as sorted pairs, in
     the order of the sorted vertices; the vertices themselves all stay.
+
+    The edges are examined in passes, in the order of their lower and then
+    higher end, until a pass removes none.  A removal shrinks only the
+    neighbourhoods of its two ends, and a shrinking N[w] dominates fewer
+    edges, so an edge found undominated stays so until one of its own ends
+    loses a neighbour.  A pass therefore examines only the edges with an
+    end that lost one since the edge was last examined, reading the
+    removal count (stamp) of each end's last loss against the count when
+    the row of the lower end last began: it removes what examining every
+    edge would, in the same order.
     """
     order, adj = _adjacency(vertices, edges)
     closed = [mask | 1 << i for i, mask in enumerate(adj)]
+    stamp = [0] * len(order)  # removals made when the vertex last lost one
+    began = [-1] * len(order)  # removals made when its row last began
+    clock = 0
     removed = True
     while removed:
         removed = False
         for u in range(len(order)):
+            last, began[u] = began[u], clock
             for v in _bits(closed[u] >> (u + 1)):
                 v += u + 1
+                if stamp[u] <= last and stamp[v] <= last:
+                    continue
                 common = closed[u] & closed[v]
-                if any(not common & ~closed[w]
-                       for w in _bits(common ^ (1 << u) ^ (1 << v))):
-                    closed[u] ^= 1 << v
-                    closed[v] ^= 1 << u
-                    removed = True
+                rest = common ^ (1 << u) ^ (1 << v)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if not common & ~closed[low.bit_length() - 1]:
+                        closed[u] ^= 1 << v
+                        closed[v] ^= 1 << u
+                        clock += 1
+                        stamp[u] = stamp[v] = clock
+                        removed = True
+                        break
     return tuple(
         (order[u], order[u + 1 + v])
         for u in range(len(order))
@@ -289,11 +389,13 @@ def smith_normal_form(matrix) -> tuple:
 class HomologyProfile:
     """Reduced integer homology: Betti numbers and torsion per degree.
 
-    cells is the f-vector.  acyclic is the number of listed faces in the
-    acyclic subcomplex A, and leftover counts per degree the cells of the
-    pair (K, A), the faces outside A, that outlived the pair removals and
-    went to the Smith form.  cells, acyclic and leftover describe the
-    computation, not the homology, so they take no part in comparisons.
+    cells is the f-vector of the complex the homology was computed on,
+    which sampler.flag_homology gives for the core of a flag complex.
+    acyclic is the number of listed faces in the acyclic subcomplex A, and
+    leftover counts per degree the cells of the pair (K, A), the faces
+    outside A, that outlived the pair removals and went to the Smith form.
+    cells, acyclic and leftover describe the computation, not the
+    homology, so they take no part in comparisons.
     """
 
     betti: tuple  # reduced Betti numbers, degrees 0..dim

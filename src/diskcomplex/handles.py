@@ -65,10 +65,11 @@ def dies_on(word, side: Side) -> bool:
     return not kill_word(word, side)
 
 
-def _is_disk_word(surface, letters) -> bool:
-    """The disk-vertex gate on the canonical letters of a class."""
+def _is_disk_word(surface, letters, masks=None) -> bool:
+    """The disk-vertex gate on the canonical letters of a class; masks as
+    words.is_simple_word takes them."""
     return (letters != surface.boundary_class.letters
-            and is_simple_word(surface.rose_order, letters))
+            and is_simple_word(surface.rose_order, letters, masks))
 
 
 def bounds_disk_sides(surface, curve) -> frozenset:
@@ -110,9 +111,11 @@ def disk_vertices(surface, max_len: int) -> list:
     makes the two meet is not placed: every class below would fail
     is_simple_word, so neither the prefix nor any class below it is gated.
     Shift 0 wraps around the word, from its last letter to its first, so
-    only the gate, at the whole word, reads it.  The table never marks a
-    shift against itself (b = a there), so the powers g1, g1^2, ... are
-    never dropped.
+    only the gate, at the whole word, reads it: the gate gets the carried
+    masks with shift 0 added, and p == n, which says the necklace is not a
+    power of its Lyndon prefix, so it computes none of them again.  The
+    table never marks a shift against itself (b = a there), so the powers
+    g1, g1^2, ... are never dropped.
 
     A max_len above MAX_CLASS_LENGTH raises BudgetError at the call.
     """
@@ -135,7 +138,9 @@ def disk_vertices(surface, max_len: int) -> list:
             inv = tuple(x ^ 1 for x in reversed(word)) * 2
             if all(word <= inv[s:s + n] for s in range(n)):
                 letters = tuple(map(key_letter, word))
-                if _is_disk_word(surface, letters):
+                i = shift_id(len(home), a[1], a[n] ^ 1)
+                if _is_disk_word(surface, letters,
+                                 (rows | links[i], bits | 1 << i, p == n)):
                     found.append((CurveClass(letters), frozenset(
                         side for side in Side
                         if not survivors[side.killed_parity])))

@@ -13,15 +13,16 @@ most 3g - 3 + b pairwise disjoint distinct classes fit on the surface,
 so simplices have dimension at most 3g - 4 + b) is enforced as an
 invariant.
 
-The connectivity probe collapses the disjointness graph before it builds
-any face.  An edge uv is dominated when a third vertex is adjacent to
-u, to v and to every common neighbour of both.  Removing it collapses
-the flag complex (Boissonnat and Pritam, SoCG 2020, extending the strong
-collapses of Barmak and Minian, DCG 2012), so the flag complex of the
-graph left has the same homotopy type and the same integral homology.
-At g = 3, L = 5 the core keeps 335 of 813 edges and 1,027 of 7,253
-cells.  The sample's own complex, and the facets a document records,
-are those of the full graph.
+The homology of a sample is read off a collapsed disjointness graph
+(flag_homology), both by the connectivity probe and by diskcx homology on
+a sample document.  An edge uv is dominated when a third vertex is
+adjacent to u, to v and to every common neighbour of both.  Removing it
+collapses the flag complex (Boissonnat and Pritam, SoCG 2020, extending
+the strong collapses of Barmak and Minian, DCG 2012), so the flag complex
+of the graph left has the same homotopy type and the same integral
+homology.  At g = 3, L = 5 the core keeps 335 of 813 edges and 1,027 of
+7,253 cells.  The sample's own complex, and the facets a document
+records, are those of the full graph.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import (
+    HomologyProfile,
     SimplicialComplex,
     collapse_dominated_edges,
     flag_from_graph,
@@ -127,20 +129,40 @@ class ConnectivityProbe:
     note: str
 
 
+def flag_homology(vertices, edges, dimension: int) -> HomologyProfile:
+    """Reduced homology of the flag complex of a graph, read off its core.
+
+    The dominated edges are removed first (collapse_dominated_edges), and
+    only the flag complex of the edges left has its faces built.  The two
+    flag complexes are homotopy equivalent, so they have the same integral
+    homology, torsion included.  The core may stop below the dimension of
+    the full flag complex, so every tuple of the profile is padded with
+    zeros to that dimension.  acyclic, leftover and cells describe the
+    computation, on the core.
+    """
+    core = collapse_dominated_edges(vertices, edges)
+    profile = reduced_homology(flag_from_graph(vertices, core))
+    zeros = (0,) * (dimension + 1 - len(profile.betti))
+    return HomologyProfile(
+        betti=profile.betti + zeros,
+        torsion=profile.torsion + ((),) * len(zeros),
+        acyclic=profile.acyclic,
+        leftover=profile.leftover + zeros,
+        cells=profile.cells + zeros,
+    )
+
+
 def connectivity_probe(sample: GammaSample) -> ConnectivityProbe:
     """Reduced betti numbers of the sample in degrees 0 and 1.
 
-    They are read off a homotopy-equivalent core: the dominated edges of
-    the disjointness graph are removed first (collapse_dominated_edges),
-    and only the flag complex of what is left has its faces built.  A
-    homotopy equivalence keeps integral homology, torsion included, so
-    both numbers are exact.  The core keeps a spanning forest of every
-    component of the graph, so it has dimension at least 1, and a degree
-    1 to read, whenever the sample has an edge.
+    They are read off flag_homology of the disjointness graph, which
+    builds only the faces of its dominated-edge core.  A homotopy
+    equivalence keeps integral homology, torsion included, so both numbers
+    are exact.  The sample's complex has dimension at least 1, and a
+    degree 1 to read, whenever the sample has an edge.
     """
-    n = len(sample.vertices)
-    core = collapse_dominated_edges(range(n), sample.edges)
-    profile = reduced_homology(flag_from_graph(range(n), core))
+    profile = flag_homology(range(len(sample.vertices)), sample.edges,
+                            sample.complex.dimension)
     return ConnectivityProbe(
         betti0=profile.betti[0],
         betti1=profile.betti[1],

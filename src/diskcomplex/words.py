@@ -445,19 +445,22 @@ def is_simple(surface, u) -> bool:
     return is_simple_word(order, CurveClass.coerce(u, order.rank).letters)
 
 
-def is_simple_word(order, w) -> bool:
+def is_simple_word(order, w, masks=None) -> bool:
     """is_simple for a cyclically reduced word w, read without a CurveClass.
 
     SI(r^k) = k^2 SI(r) + (k - 1) vanishes only for k = 1 and a root with
     no linked configuration with itself.  A cyclically reduced word is a
     proper power exactly when it is periodic, and the self scan is one
     AND of w's tripod masks, then the shared-letter configurations, which
-    stop at the first linked one.
+    stop at the first linked one.  masks is (linked, present, primitive):
+    w's tripod masks and whether it is aperiodic, computed here unless a
+    caller that built w letter by letter passes what it already holds.
     """
-    if _period(w) < len(w):
-        return False
-    linked, present = _tripod_masks(order, w)
-    return not linked & present and not any(_shared_configurations(order, w, w))
+    if masks is None:
+        masks = (*_tripod_masks(order, w), _period(w) == len(w))
+    linked, present, primitive = masks
+    return (primitive and not linked & present
+            and not any(_shared_configurations(order, w, w)))
 
 
 def abelianized(word, rank: int) -> tuple:

@@ -507,3 +507,31 @@ def maximal_faces_quadratic(facets) -> tuple:
         if not any(set(f) <= set(g) for g in kept):
             kept.append(f)
     return tuple(sorted(kept))
+
+
+def collapse_by_full_passes(vertices, edges) -> tuple:
+    """The dominated-edge collapse, examining every edge in every pass.
+
+    Edge uv goes when some third vertex w of N[u] & N[v] has N[w]
+    containing N[u] & N[v], closed neighbourhoods of the current graph.
+    Each pass takes the edges by their lower end, then their higher end,
+    in sorted order; passes repeat until one removes nothing.  Returns the
+    kept edges as sorted pairs, in that order.
+    """
+    order = sorted(set(vertices))
+    closed = {v: {v} for v in order}
+    for a, b in edges:
+        if a != b:
+            closed[a].add(b)
+            closed[b].add(a)
+    removed = True
+    while removed:
+        removed = False
+        for u in order:
+            for v in sorted(w for w in closed[u] if w > u):
+                common = closed[u] & closed[v]
+                if any(common <= closed[w] for w in common - {u, v}):
+                    closed[u].discard(v)
+                    closed[v].discard(u)
+                    removed = True
+    return tuple((u, v) for u in order for v in sorted(closed[u]) if v > u)

@@ -24,6 +24,8 @@ from diskcomplex import (
     cut_along,
     bookkeeping_check,
     dims,
+    flag_cells,
+    flag_homology,
     geometric_intersection,
     max_simplex_probe,
     pseudomanifold_check,
@@ -304,3 +306,11 @@ def test_criterion_14_sampler_g3_L6_and_g4_L5():
         profile = reduced_homology(s45.complex)
         assert profile.betti == (0, 0, 2, 214, 2, 0, 0, 0, 0)
         assert all(t == () for t in profile.torsion)
+        # the path diskcx homology takes on their documents: the f-vector
+        # from the clique walk, the homology from the core
+        for s, full in ((s36, reduced_homology(s36.complex)), (s45, profile)):
+            cells = flag_cells(s.complex, s.edges)
+            assert cells == full.cells
+            core = flag_homology(range(len(s.vertices)), s.edges, len(cells) - 1)
+            assert (core.betti, core.torsion) == (full.betti, full.torsion)
+        notes.append("core path agrees with the face path at (3,6) and (4,5)")

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from diskcomplex import cli
+from diskcomplex import SimplicialComplex, cli, reduced_homology
 from diskcomplex.cli import (
     SCHEMA_BBM,
     SCHEMA_GAMMA,
@@ -20,7 +20,7 @@ from diskcomplex.cli import (
     run,
 )
 from diskcomplex.errors import SchemaError
-from test_complexes import PROJECTIVE_PLANE
+from test_complexes import HOLLOW_TRIANGLE, PROJECTIVE_PLANE
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -254,6 +254,7 @@ class TestPersistence:
         assert code == 0
         assert out == (
             "schema    diskcx/bbm-complex/1\n"
+            "path      faces\n"
             "f-vector  (9, 21, 14)\n"
             "betti     (0, 0, 1)\n"
             "torsion   none\n"
@@ -265,7 +266,8 @@ class TestPersistence:
         assert code == 0
         assert out == (
             '{"betti":[0,0,1],"f_vector":[9,21,14],"is_sphere":true,'
-            '"leftover":[0,0,1],"schema":"diskcx/bbm-complex/1",'
+            '"leftover":[0,0,1],"path":"faces",'
+            '"schema":"diskcx/bbm-complex/1",'
             '"sphere_dimension":2,"torsion":[[],[],[]]}\n'
         )
 
@@ -303,6 +305,7 @@ class TestPersistence:
         assert code == 0
         assert out == (
             "schema    diskcx/gamma-sample/1\n"
+            "path      core\n"
             "f-vector  (6, 9, 2)\n"
             "betti     (0, 2, 0)\n"
             "torsion   none\n"
@@ -318,6 +321,7 @@ class TestPersistence:
         assert code == 0
         assert out == (
             "schema    diskcx/gamma-sample/1\n"
+            "path      faces\n"
             "f-vector  (6, 15, 10)\n"
             "betti     (0, 0, 0)\n"
             "torsion   ((), (2,), ())\n"
@@ -327,7 +331,8 @@ class TestPersistence:
         assert code == 0
         assert out == (
             '{"betti":[0,0,0],"f_vector":[6,15,10],"leftover":[0,5,5],'
-            '"schema":"diskcx/gamma-sample/1","torsion":[[],[2],[]]}\n')
+            '"path":"faces","schema":"diskcx/gamma-sample/1",'
+            '"torsion":[[],[2],[]]}\n')
 
     @pytest.mark.parametrize("build", [
         ["bbm", "build", "-g", "2"],
@@ -372,6 +377,7 @@ class TestPersistence:
         assert code == 0
         assert out == (
             "schema    diskcx/bbm-complex/1\n"
+            "path      faces\n"
             "f-vector  (3, 3)\n"
             "betti     (0, 1)\n"
             "torsion   none\n"
@@ -450,6 +456,97 @@ class TestPersistence:
         assert message in err
         with pytest.raises(SchemaError):
             load_document(path)
+
+
+class TestCorePath:
+    """homology reads a gamma document off the dominated-edge core of its
+    edges when they generate the complex its facets list, and otherwise
+    takes the face path; both give the same f-vector, Betti numbers and
+    torsion."""
+
+    @staticmethod
+    def write(path, payload):
+        path.write_text(json.dumps(make_document(SCHEMA_GAMMA, payload)))
+        return path
+
+    @pytest.mark.parametrize("genus, budget", [
+        (2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 2), (3, 3), (3, 4),
+        (3, 5), (4, 3)])
+    def test_core_path_agrees_with_the_face_path(self, capsys, tmp_path,
+                                                 genus, budget):
+        path = tmp_path / "s.json"
+        assert cap(capsys, ["gamma", "sample", "-g", str(genus), "-L",
+                            str(budget), "--out", str(path)])[0] == 0
+        code, out, _ = cap(capsys, ["homology", str(path), "--json"])
+        assert code == 0
+        got = json.loads(out)
+        assert got["path"] == "core"
+        facets = json.loads(path.read_text())["payload"]["facets"]
+        full = reduced_homology(SimplicialComplex.from_facets(facets))
+        assert got["f_vector"] == list(full.cells)
+        assert got["betti"] == list(full.betti)
+        assert got["torsion"] == [list(t) for t in full.torsion]
+
+    def test_the_g3_L5_leftover_is_the_cores(self, capsys, tmp_path):
+        path = tmp_path / "s.json"
+        cap(capsys, ["gamma", "sample", "-g", "3", "-L", "5", "--out",
+                     str(path)])
+        code, out, _ = cap(capsys, ["homology", str(path)])
+        assert code == 0
+        assert out == (
+            "schema    diskcx/gamma-sample/1\n"
+            "path      core\n"
+            "f-vector  (105, 813, 2157, 2506, 1380, 292)\n"
+            "betti     (0, 0, 32, 2, 0, 0)\n"
+            "torsion   none\n"
+            "leftover  (0, 0, 34, 4, 0, 0)\n"
+        )
+
+    @pytest.mark.parametrize("facets, edges", [
+        # the edges fill the hollow triangle
+        (HOLLOW_TRIANGLE, HOLLOW_TRIANGLE),
+        # a listed face is no clique of the edges
+        ([(0, 1, 2)], [(0, 1), (1, 2)]),
+        # an edge to a vertex no listed face holds
+        ([(0, 1), (1, 2), (0, 2)], [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    ], ids=["filled", "no_clique", "new_vertex"])
+    def test_forged_edges_fall_back_to_the_face_path(self, capsys, tmp_path,
+                                                     facets, edges):
+        forged = self.write(tmp_path / "forged.json", {
+            "edges": [list(e) for e in edges],
+            "facets": [list(f) for f in facets]})
+        bare = self.write(tmp_path / "bare.json",
+                          {"facets": [list(f) for f in facets]})
+        code, out, _ = cap(capsys, ["homology", str(forged), "--json"])
+        assert code == 0
+        assert json.loads(out)["path"] == "faces"
+        assert cap(capsys, ["homology", str(bare), "--json"]) == (0, out, "")
+
+    @pytest.mark.parametrize("edges", [
+        "0-1", [0, 1], [[0]], [[0, 1, 2]], [["0", 1]], [[0, 1.0]],
+        [[True, 1]], [[1, 1]]],
+        ids=["string", "flat", "single", "triple", "string_id", "float_id",
+             "bool_id", "loop"])
+    def test_malformed_edges_exit_two(self, capsys, tmp_path, edges):
+        path = self.write(tmp_path / "bad.json",
+                          {"edges": edges, "facets": [[0, 1], [1, 2]]})
+        code, out, err = cap(capsys, ["homology", str(path)])
+        assert code == 2 and out == ""
+        assert "payload.edges" in err
+
+    def test_wide_faces_with_edges_exit_two_at_once(self, capsys, tmp_path):
+        # two disjoint 30-vertex faces whose edges generate them: the walk
+        # is not tried, and the face path refuses the second face's 2^30
+        # vertex subsets
+        faces = [list(range(30)), list(range(30, 60))]
+        path = self.write(tmp_path / "wide.json", {
+            "edges": [[a, b] for f in faces for a in f for b in f if a < b],
+            "facets": faces})
+        t0 = time.monotonic()
+        code, out, err = cap(capsys, ["homology", str(path)])
+        assert time.monotonic() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "1073741824 vertex subsets, above the limit of 12000000" in err
 
 
 class TestUnwritableOut:

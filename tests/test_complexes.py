@@ -1,17 +1,20 @@
 """Simplicial complexes, Smith forms, and integral homology."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
 
 import diskcomplex.complexes as complexes
 from diskcomplex import (
+    BudgetError,
     DomainError,
     SimplicialComplex,
     build_complex,
     chain_surface,
     collapse_dominated_edges,
+    flag_cells,
     flag_from_graph,
     pseudomanifold_check,
     reduced_homology,
@@ -20,6 +23,7 @@ from diskcomplex import (
 )
 from oracles import (
     boundary_matrix,
+    collapse_by_full_passes,
     face_counts,
     faces_of,
     maximal_cliques_brute,
@@ -547,6 +551,81 @@ class TestCollapseDominatedEdges:
     def test_rejects_an_edge_outside_the_vertices(self):
         with pytest.raises(DomainError):
             collapse_dominated_edges(range(3), [(0, 5)])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_core_as_full_passes(self, seed):
+        # a pass skips the edges whose ends kept their neighbours, and
+        # removes exactly what a pass over every edge removes
+        rng = random.Random(6000 + seed)
+        n = rng.randint(2, 40)
+        edges = random_graph(rng, n, rng.random())
+        assert (collapse_dominated_edges(range(n), edges)
+                == collapse_by_full_passes(range(n), edges))
+
+    @pytest.mark.parametrize("genus, budget", [(2, 6), (3, 5), (4, 4)])
+    def test_same_core_as_full_passes_on_samples(self, genus, budget):
+        s = sample_gamma(chain_surface(genus), budget)
+        vertices = range(len(s.vertices))
+        assert (collapse_dominated_edges(vertices, s.edges)
+                == collapse_by_full_passes(vertices, s.edges))
+
+
+class TestFlagCells:
+    """flag_cells counts the faces of a flag complex when the listed faces
+    generate it, and declines every other list."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_graphs(self, seed):
+        rng = random.Random(7000 + seed)
+        n = rng.randint(1, 10)
+        edges = random_graph(rng, n, rng.random())
+        cx = flag_from_graph(range(n), edges)
+        want = face_counts(cx.facets)
+        assert flag_cells(cx, edges) == want
+        # repeated faces and faces of listed faces: the same complex
+        messy = [*cx.facets, *cx.facets[:2],
+                 *[f[:k] for f in cx.facets for k in range(1, len(f))][::3]]
+        assert flag_cells(SimplicialComplex.from_facets(messy), edges) == want
+
+    def test_interval_sphere(self):
+        build = build_complex(chain_surface(3))
+        assert flag_cells(build.complex, build.edges) == (
+            20, 120, 300, 330, 132)
+
+    def test_a_listed_face_that_is_no_clique(self):
+        cx = SimplicialComplex.from_facets([(0, 1, 2)])
+        assert flag_cells(cx, [(0, 1), (1, 2)]) is None
+
+    @pytest.mark.parametrize("facets, edges", [
+        # the hollow triangle: the flag complex fills it
+        (HOLLOW_TRIANGLE, HOLLOW_TRIANGLE),
+        # a maximal clique of the same size left out
+        ([(0, 1), (1, 2)], [(0, 1), (1, 2), (2, 3)]),
+        # an edge to a vertex no listed face holds
+        ([(0, 1)], [(0, 1), (1, 5)]),
+    ], ids=["filled", "missing_edge", "new_vertex"])
+    def test_an_unlisted_maximal_clique(self, facets, edges):
+        cx = SimplicialComplex.from_facets(facets)
+        assert flag_cells(cx, edges) is None
+        assert flag_cells(flag_from_graph(range(6), edges), edges) is not None
+
+    def test_a_wide_face_is_declined_at_once(self):
+        # 2^24 vertex subsets pass MAX_RELATIVE_SUBSETS: no walk runs
+        face = tuple(range(24))
+        t0 = time.monotonic()
+        assert flag_cells(SimplicialComplex((face,)),
+                          list(combinations(face, 2))) is None
+        assert time.monotonic() - t0 < 1.0
+
+    def test_walk_budget(self, monkeypatch):
+        # the octahedron has 6 + 12 + 8 = 26 faces
+        monkeypatch.setattr(complexes, "MAX_CLIQUES", 25)
+        cx = SimplicialComplex.from_facets(OCTAHEDRON)
+        edges = {e for f in OCTAHEDRON for e in combinations(f, 2)}
+        with pytest.raises(BudgetError, match="more than 25 faces"):
+            flag_cells(cx, edges)
+        monkeypatch.setattr(complexes, "MAX_CLIQUES", 26)
+        assert flag_cells(cx, edges) == (6, 12, 8)
 
 
 class TestPseudomanifold:

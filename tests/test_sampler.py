@@ -2,6 +2,8 @@
 
 import collections
 import hashlib
+import itertools
+import random
 import time
 
 import pytest
@@ -16,6 +18,8 @@ from diskcomplex import (
     bounds_disk_sides,
     chain_surface,
     connectivity_probe,
+    flag_from_graph,
+    flag_homology,
     geometric_intersection,
     max_simplex_probe,
     reduced_homology,
@@ -25,11 +29,13 @@ import diskcomplex.handles as handles
 import diskcomplex.sampler as sampler
 import diskcomplex.words as words
 from diskcomplex.ribbon import ChainSurface
-from diskcomplex.words import _linked_configurations, _tripod_masks, disjoint_pairs
+from diskcomplex.words import (
+    _linked_configurations, _period, _tripod_masks, disjoint_pairs)
 from diskcomplex.handles import disk_vertices
 from oracles import (
     crossings_by_rays, dying_classes, reduced_words, self_linked_shifts)
-from test_complexes import assert_collapse_keeps_homology
+from test_complexes import (
+    PROJECTIVE_PLANE, assert_collapse_keeps_homology, random_graph)
 
 # (genus, budget) pairs small enough to enumerate every reduced word
 BRUTE = [(2, L) for L in range(1, 6)] + [(3, L) for L in range(1, 5)] + [
@@ -131,9 +137,9 @@ class TestClassEnumeration:
         gated = []
         gate = handles._is_disk_word
 
-        def spy(surface, letters):
+        def spy(surface, letters, masks):
             gated.append(letters)
-            return gate(surface, letters)
+            return gate(surface, letters, masks)
         monkeypatch.setattr(handles, "_is_disk_word", spy)
         found = disk_vertices(surface, budget)
         monkeypatch.undo()
@@ -157,6 +163,27 @@ class TestClassEnumeration:
                 if (sides := bounds_disk_sides(surface, CurveClass(w)))}
         assert dict(found) == kept
 
+    @pytest.mark.parametrize("genus, budget", [(2, 6), (3, 5)])
+    def test_gate_gets_the_masks_it_would_compute(self, monkeypatch, genus,
+                                                  budget):
+        # the search hands the gate its carried tripod masks with shift 0
+        # added, and p == n for primitivity: what is_simple_word computes
+        # from the letters when no masks are given
+        surface = chain_surface(genus)
+        order = surface.rose_order
+        carried = []
+        gate = handles._is_disk_word
+
+        def spy(surface, letters, masks):
+            carried.append((letters, masks))
+            return gate(surface, letters, masks)
+        monkeypatch.setattr(handles, "_is_disk_word", spy)
+        disk_vertices(surface, budget)
+        assert all(
+            masks == (*_tripod_masks(order, w), _period(w) == len(w))
+            for w, masks in carried)
+        assert {masks[2] for _, masks in carried} == {True, False}
+
     def test_pruned_search_size(self, monkeypatch):
         # 2,047 of the 18,229 classes of length <= 5 at genus 3 die on a
         # side; the gate runs once on each of the 883 whose inner shifts
@@ -164,9 +191,9 @@ class TestClassEnumeration:
         calls = collections.Counter()
         gate = handles._is_disk_word
 
-        def spy(surface, letters):
+        def spy(surface, letters, masks):
             calls[letters] += 1
-            return gate(surface, letters)
+            return gate(surface, letters, masks)
         monkeypatch.setattr(handles, "_is_disk_word", spy)
         found = disk_vertices(chain_surface(3), 5)
         assert sum(calls.values()) == len(calls) == 883
@@ -248,11 +275,11 @@ class TestClassEnumeration:
         class Reached(Exception):
             pass
 
-        def spy(surface, letters):
+        def spy(surface, letters, masks):
             if len(letters) == bound or letters != (1,) * len(letters):
                 raise Reached(letters)
             ungated.clear()
-            return gate(surface, letters)
+            return gate(surface, letters, masks)
 
         def counting(n, x, y):
             ungated.append(x)
@@ -468,3 +495,46 @@ class TestCollapsedProbe:
         full = reduced_homology(s.complex)
         assert (probe.betti0, probe.betti1) == full.betti[:2]
         assert full.torsion[:2] == ((), ())
+
+
+class TestFlagHomology:
+    """flag_homology reads the homology of a flag complex off its
+    dominated-edge core: the same Betti numbers and torsion as the face
+    path of reduced_homology, padded to the flag complex's dimension."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_graphs(self, seed):
+        rng = random.Random(8000 + seed)
+        n = rng.randint(1, 11)
+        edges = random_graph(rng, n, rng.random())
+        full = reduced_homology(flag_from_graph(range(n), edges))
+        core = flag_homology(range(n), edges, len(full.betti) - 1)
+        assert (core.betti, core.torsion) == (full.betti, full.torsion)
+        assert len(core.leftover) == len(core.cells) == len(full.betti)
+
+    def test_keeps_the_torsion_of_the_projective_plane(self):
+        # the barycentric subdivision of the 6-vertex projective plane is
+        # a flag complex with H_1 = Z/2
+        faces = sorted({s for f in PROJECTIVE_PLANE for k in (1, 2, 3)
+                        for s in itertools.combinations(f, k)})
+        label = {f: i for i, f in enumerate(faces)}
+        edges = [(label[a], label[b]) for a in faces for b in faces
+                 if len(a) < len(b) and set(a) < set(b)]
+        full = reduced_homology(flag_from_graph(range(len(faces)), edges))
+        core = flag_homology(range(len(faces)), edges, 2)
+        assert core.torsion == full.torsion == ((), (2,), ())
+        assert core.betti == full.betti == (0, 0, 0)
+
+    def test_the_probe_reads_it(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return flag_homology(*args)
+        monkeypatch.setattr(sampler, "flag_homology", spy)
+        s = sample_gamma(chain_surface(3), 3)
+        probe = connectivity_probe(s)
+        assert len(calls) == 1
+        profile = flag_homology(*calls[0])
+        assert (probe.betti0, probe.betti1) == profile.betti[:2]
+        assert len(profile.betti) == s.complex.dimension + 1
