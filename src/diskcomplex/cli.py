@@ -20,9 +20,12 @@ Document format.  Every file this tool writes is a single JSON object
 serialized with sorted keys and compact separators.  The payload is a
 pure function of the mathematical input, so rebuilding the same object
 yields byte-identical payload text; anything environmental (timestamp,
-tool version) lives in the manifest.  Readers reject unknown schema
-strings with SchemaError instead of guessing, and so are documents whose
-payload no longer matches manifest.payload_sha256 or lacks the fields
+tool version) lives in the manifest.  A writer serialises the payload
+once: the manifest hashes that text, and the file splices it between the
+manifest and the schema, byte for byte canonical_json(doc).  Readers
+reject unknown schema strings with SchemaError instead of guessing, and
+so are documents whose payload no longer matches manifest.payload_sha256
+(of the payload re-serialised, not of the text read) or lacks the fields
 `homology` reads.
 
 homology names the path it took.  A gamma document's payload lists the
@@ -85,12 +88,17 @@ def payload_sha256(payload) -> str:
 
 
 def make_document(schema: str, payload: dict, command: str = "",
-                  wall_ms: int = 0) -> dict:
+                  wall_ms: int = 0, payload_text: str | None = None) -> dict:
+    """The document of a payload; payload_text is canonical_json(payload)
+    when the caller already holds it, so it is hashed, not made again."""
+    if payload_text is None:
+        payload_text = canonical_json(payload)
+    digest = hashlib.sha256(payload_text.encode()).hexdigest()
     return {
         "manifest": {
             "command": command,
             "created": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "payload_sha256": payload_sha256(payload),
+            "payload_sha256": digest,
             "tool": "diskcx",
             "version": __version__,
             "wall_ms": wall_ms,
@@ -151,9 +159,16 @@ def load_document(path: Path) -> dict:
     return doc
 
 
-def write_document(path: Path, doc: dict) -> None:
+def write_document(path: Path, doc: dict, payload_text: str) -> None:
+    """Write canonical_json(doc) and a newline, for a doc of make_document
+    whose payload serialises to payload_text.  Sorted keys put the payload
+    between the manifest and the schema, so only those two are serialised
+    here."""
+    text = (f'{{"manifest":{canonical_json(doc["manifest"])},'
+            f'"payload":{payload_text},'
+            f'"schema":{canonical_json(doc["schema"])}}}')
     try:
-        Path(path).write_text(canonical_json(doc) + "\n")
+        Path(path).write_text(text + "\n")
     except OSError as exc:
         raise DomainError(f"cannot write document {path}: {exc}") from exc
 
@@ -216,14 +231,16 @@ def cmd_bbm_build(args) -> list:
             for v in build.vertices
         ],
     }
+    text = canonical_json(payload)
     doc = make_document(
         SCHEMA_BBM, payload,
         command=f"bbm build -g {args.genus}",
         wall_ms=int(1000 * (time.monotonic() - t0)),
+        payload_text=text,
     )
     if args.out is None:
         return [(None, key, value) for key, value in doc.items()]
-    write_document(args.out, doc)
+    write_document(args.out, doc, text)
     print(f"wrote {args.out}")
     return []
 
@@ -332,12 +349,14 @@ def cmd_gamma_sample(args) -> list:
                 for c, sd in zip(sample.vertices, sample.sides)
             ],
         }
+        text = canonical_json(payload)
         doc = make_document(
             SCHEMA_GAMMA, payload,
             command=f"gamma sample -g {args.genus} -L {args.budget}",
             wall_ms=int(1000 * (time.monotonic() - t0)),
+            payload_text=text,
         )
-        write_document(args.out, doc)
+        write_document(args.out, doc, text)
     return [
         ("genus", None, args.genus),
         ("budget", None, args.budget),

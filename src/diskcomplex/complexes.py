@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations, compress
 from math import comb
-from operator import and_, eq
+from operator import and_, eq, lt
 
 from .errors import BudgetError, DomainError
 
@@ -92,8 +92,18 @@ class SimplicialComplex:
 
     @classmethod
     def from_facets(cls, facets) -> "SimplicialComplex":
-        """Sorted, distinct faces with sorted vertices; nested ones stay."""
-        cleaned = sorted({tuple(sorted(set(f))) for f in facets})
+        """Sorted, distinct faces with sorted vertices; nested ones stay.
+
+        A list that is already so, every face strictly increasing and the
+        faces strictly increasing, as diskcx writes them, is kept as read;
+        any other is sorted and deduplicated.
+        """
+        read = list(map(tuple, facets))
+        if all(map(lt, read, read[1:])) and all(
+                all(map(lt, f, f[1:])) for f in read):
+            cleaned = read
+        else:
+            cleaned = sorted({tuple(sorted(set(f))) for f in read})
         if not cleaned:
             raise DomainError("a complex needs at least one facet")
         if not cleaned[0]:
@@ -136,7 +146,9 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
 
     The facets are the maximal cliques, enumerated by Bron-Kerbosch with
     Tomita pivoting (Tomita, Tanaka, Takahashi, TCS 2006) on int bitmasks
-    over the sorted vertices.  Self-loops are ignored.
+    over the sorted vertices.  Each clique goes down the recursion as the
+    tuple of its vertex ids and is sorted once, when it is found maximal.
+    Self-loops are ignored.
     """
     order, adj = _adjacency(vertices, edges)
     if not order:
@@ -146,7 +158,7 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
 
     def expand(clique, cand, done):
         if not cand and not done:
-            cliques.append(clique)
+            cliques.append(tuple(sorted(clique)))
             return
         # the pivot covers the most candidates, so the fewest branches
         # remain; the first such vertex, lowest bit first
@@ -163,15 +175,14 @@ def flag_from_graph(vertices, edges) -> SimplicialComplex:
             bit = rest & -rest
             rest ^= bit
             v = bit.bit_length() - 1
-            expand(clique | bit, cand & adj[v], done & adj[v])
+            expand(clique + (order[v],), cand & adj[v], done & adj[v])
             cand ^= bit
             done |= bit
 
-    expand(0, (1 << len(order)) - 1, 0)
+    expand((), (1 << len(order)) - 1, 0)
     # maximal cliques are distinct and pairwise non-nested: no cleanup
-    return SimplicialComplex(
-        tuple(sorted(tuple(order[i] for i in _bits(c)) for c in cliques))
-    )
+    cliques.sort()
+    return SimplicialComplex(tuple(cliques))
 
 
 def flag_cells(complex_: SimplicialComplex, edges):
@@ -437,13 +448,19 @@ def _acyclic_subcomplex(facets) -> tuple:
     judged against A as usual.  The cells are read off A's final stars
     into sets, so a face shared by two listed faces is one cell.
 
+    A face that joins sets one bit, 1 << i, in the stars of its vertices,
+    and the meet of R's stars is carried in the backward loop that finds
+    R.  The faces A gains are counted by binomials once per shape
+    (|F|, |R|), at the end; when A is pure, the counts of the shapes by
+    |R| are the h-vector of its shelling.
+
     Returns the flags of the listed faces in A, A's vertex stars as int
     bitmasks over their indices, and A's face counts by size, the empty
     face included.
     """
     star: dict = {}
     inside = [False] * len(facets)
-    sizes = [0] * (max(map(len, facets)) + 1)
+    shapes: dict = {}  # (|F|, |R|): how many faces of A had that shape
     for i, f in enumerate(facets):
         empty = -1 if i else 0  # the meet of no stars: all of A
         stars = [star.get(v, 0) for v in f]
@@ -451,19 +468,24 @@ def _acyclic_subcomplex(facets) -> tuple:
         before = [empty]
         for s in stars:
             before.append(before[-1] & s)
-        after, r = empty, []
-        for j in reversed(range(len(f))):
-            if before[j] & after:
-                r.append(j)
-            after &= stars[j]
-        if len(r) == len(f) or reduce(and_, (stars[j] for j in r), empty):
+        after = meet = empty  # meet: the A-faces that contain R
+        r = 0
+        for b, s in zip(reversed(before[:-1]), reversed(stars)):
+            if b & after:
+                r += 1
+                meet &= s
+            after &= s
+        if r == len(f) or meet:
             continue
         inside[i] = True
+        bit = 1 << i
         for v in f:
-            star[v] = star.get(v, 0) | 1 << i
-        free = len(f) - len(r)
-        for k in range(free + 1):
-            sizes[len(r) + k] += comb(free, k)
+            star[v] = star.get(v, 0) | bit
+        shapes[len(f), r] = shapes.get((len(f), r), 0) + 1
+    sizes = [0] * (max(map(len, facets)) + 1)
+    for (n, r), count in shapes.items():
+        for k in range(n - r + 1):
+            sizes[r + k] += count * comb(n - r, k)
     return inside, star, sizes
 
 

@@ -101,13 +101,19 @@ def disk_vertices(surface, max_len: int) -> list:
     Each side keeps a stack of the prefix's letters it does not kill,
     freely reduced.  A suffix of k letters cancels at most k survivors, so
     once both stacks are longer than the max_len - n letters still
-    allowed, the prefix is pruned.  A freely reduced word is empty after
-    cyclic reduction exactly when it is empty, so a class dies on exactly
-    the sides whose stacks are empty.
+    allowed, the prefix is pruned.  A letter moves only its own side's
+    stack, by one, so a side's letters are all tried while the other
+    stack, or this one grown by one, is within the letters left, and
+    otherwise only the one that cancels the top of this stack.  A last
+    letter is placed only when the word it ends passes the necklace and
+    cyclic reduction tests.  A freely reduced word is empty after cyclic
+    reduction exactly when it is empty, so a class dies on exactly the
+    sides whose stacks are empty.
 
     Each call also carries the OR of the link_table rows and the OR of
     the bits of the shifts 1..n-1 of its prefix, as words._tripod_masks
-    would read them, one OR each per appended letter.  A letter whose shift
+    would read them, one OR each per appended letter, read off a table
+    of each shift's row and bit built once per call.  A letter whose shift
     makes the two meet is not placed: every class below would fail
     is_simple_word, so neither the prefix nor any class below it is gated.
     Shift 0 wraps around the word, from its last letter to its first, so
@@ -125,9 +131,13 @@ def disk_vertices(surface, max_len: int) -> list:
             f"letters, not {max_len}; lower the budget")
     a = [0] * (max_len + 1)  # a[0] = 0 starts the recursion with p = 1
     survivors = ([], [])  # freely reduced survivors, by Side.killed_parity
-    home = [survivors[side.killed_parity] for x in range(4 * surface.genus)
-            for side in Side if not side.kills(key_letter(x))]
+    keys = range(4 * surface.genus)
+    own = [side.killed_parity for x in keys
+           for side in Side if not side.kills(key_letter(x))]
     links = link_table(surface.rose_order)
+    # step[back][x]: the link_table row and the bit of the shift (x, back)
+    step = [[(links[i], 1 << i) for i in (shift_id(len(keys), x, back)
+                                          for x in keys)] for back in keys]
     found = []
 
     def extend(t, p, rows, bits):
@@ -138,34 +148,44 @@ def disk_vertices(surface, max_len: int) -> list:
             inv = tuple(x ^ 1 for x in reversed(word)) * 2
             if all(word <= inv[s:s + n] for s in range(n)):
                 letters = tuple(map(key_letter, word))
-                i = shift_id(len(home), a[1], a[n] ^ 1)
+                row, bit = step[a[n] ^ 1][a[1]]
                 if _is_disk_word(surface, letters,
-                                 (rows | links[i], bits | 1 << i, p == n)):
-                    found.append((CurveClass(letters), frozenset(
-                        side for side in Side
-                        if not survivors[side.killed_parity])))
+                                 (rows | row, bits | bit, p == n)):
+                    sides = frozenset(side for side in Side
+                                      if not survivors[side.killed_parity])
+                    found.append((CurveClass.from_canonical(letters), sides))
         if n == max_len:
             return
         rest = max_len - t
         back = a[n] ^ 1
-        for x in range(a[t - p], len(home)):
+        # keep[k]: every letter of side k can still finish; else only tops[k]
+        keep = [len(survivors[1]) <= rest or len(survivors[0]) < rest,
+                len(survivors[0]) <= rest or len(survivors[1]) < rest]
+        tops = [s[-1] ^ 1 if s and len(s) <= rest + 1 else -1
+                for s in survivors]
+        for x in range(a[t - p], len(keys)):
+            k = own[x]
+            if not keep[k] and x != tops[k]:
+                continue
             r = b = 0  # shift 0 waits for the gate
             if n:
                 if x == back:
                     continue
-                i = shift_id(len(home), x, back)
-                r, b = rows | links[i], bits | 1 << i
+                row, bit = step[back][x]
+                r, b = rows | row, bits | bit
                 if r & b:
                     continue  # shifts 1..n of every class below self-link
             a[t] = x
-            stack = home[x]
+            q = p if x == a[t - p] else t
+            if t == max_len and (t % q or x ^ 1 == a[1]):
+                continue  # a leaf that is no canonical word
+            stack = survivors[k]
             cancels = bool(stack) and stack[-1] == x ^ 1
             if cancels:
                 stack.pop()
             else:
                 stack.append(x)
-            if len(survivors[0]) <= rest or len(survivors[1]) <= rest:
-                extend(t + 1, p if x == a[t - p] else t, r, b)
+            extend(t + 1, q, r, b)
             if cancels:
                 stack.append(x ^ 1)
             else:

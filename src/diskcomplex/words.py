@@ -57,7 +57,7 @@ linked(w), the OR of the rows its shifts (w[s], -w[s-1]) name as
 (a, back), and present(w), the bits those shifts name as (b, c).  Some
 m = k = 0 configuration of (u, v) is linked exactly when
 linked(u) & present(v) is nonzero.  Only a configuration where a opens a
-v-ray (_shared_configurations) builds the repeated words and counts the
+v-ray (_shared_configurations) reads the repeated words and counts the
 agreeing letters, and cyc orients its triples from CyclicOrder._ahead,
 where _ahead[x][y] counts the counterclockwise steps from x to y.
 
@@ -97,6 +97,9 @@ i(u, v) = 0, and disjoint_pairs decides it for every pair of a list of
 classes.  Since a, b >= 1, i(r^a, s^b) = 0 exactly when the roots r, s
 have no linked configuration.  The masks of each root are computed once,
 so a pair with a linked m = k = 0 configuration is decided by one AND.
+So is each root's scan table (_scan_table: which shifts each letter
+opens, and the root and its inverse repeated past the horizon of the
+longest pair), which the shared-letter scan of every other pair reads.
 """
 
 from __future__ import annotations
@@ -209,11 +212,19 @@ class CurveClass:
             raise InternalInvariantError("CurveClass requires canonical letters")
 
     @classmethod
+    def from_canonical(cls, letters) -> "CurveClass":
+        """The class of letters that the caller made canonical: unchecked,
+        so they are not canonicalised a second time."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "letters", letters)
+        return c
+
+    @classmethod
     def from_letters(cls, letters, rank: int | None = None) -> "CurveClass":
         w = canonical_unoriented(letters)
         if rank is not None and any(abs(l) > rank for l in w):
             raise CurveError(f"letters exceed rank {rank}")
-        return cls(w)
+        return cls.from_canonical(w)
 
     @classmethod
     def from_string(cls, text: str, rank: int | None = None) -> "CurveClass":
@@ -246,7 +257,7 @@ class CurveClass:
             return self, 1
         # canonical: the rotations and inverse of r^k are those of r raised
         # to k, and x^k compares with y^k as x with y
-        return CurveClass(w[:p]), len(w) // p
+        return CurveClass.from_canonical(w[:p]), len(w) // p
 
 
 def _period(w) -> int:
@@ -362,19 +373,37 @@ def _tripod_masks(order, w) -> tuple:
     return linked, present
 
 
-def _shared_configurations(order, u, v):
+def _scan_table(w, horizon: int) -> tuple:
+    """What a pair scan reads of a word w, for pairs of horizon at most
+    horizon: opens[a] lists the shifts j where a is b = w[j] or
+    c = -w[j - 1], then w and its inverse repeated, in whole periods, so
+    far that no index below the horizon needs % (and ww[-1] is w[-1]).
+    """
+    opens: dict = {}
+    for j, b in enumerate(w):
+        opens.setdefault(b, []).append(j)
+        opens.setdefault(-w[j - 1], []).append(j)
+    reps = horizon // len(w) + 2
+    return opens, w * reps, inverse(w) * reps
+
+
+def _shared_configurations(order, u, v, tables=None):
     """Yield, in order, each unpinned, linked configuration (s, j) of
     primitive u, v whose forward u-ray starts along a v-ray (a in {b, c}).
 
-    opens[a] lists the shifts j where a is b = v[j] or c = -v[j - 1].  The
+    tables is the pair of _scan_tables of u and v, for a horizon of at
+    least p + q + 2, built here unless the caller holds them.  The
     backward u-ray leaves the other three rays at the base, so each side
-    is read where the forward u-ray parts from it.
+    is read where the forward u-ray parts from it; the backward v-ray from
+    shift j reads iv from q - j.
     """
-    opens: dict = {}
-    for j, b in enumerate(v):
-        opens.setdefault(b, []).append(j)
-        opens.setdefault(-v[j - 1], []).append(j)
-    uu = None
+    p, q = len(u), len(v)
+    horizon = p + q + 2
+    if tables is None:
+        tu = _scan_table(u, horizon)
+        tables = tu, tu if u == v else _scan_table(v, horizon)
+    (_, uu, _), (opens, vv, iv) = tables
+    cyc = order.cyc
     for s, a in enumerate(u):
         back = -u[s - 1]
         for j in opens.get(a, ()):
@@ -384,16 +413,6 @@ def _shared_configurations(order, u, v):
             # drops s == j when u == v, where the two axes coincide)
             if back == v[j] or back == -v[j - 1]:
                 continue
-            if uu is None:
-                # whole periods, long enough that no index below needs %
-                # (and uu[-1] is u[p - 1]); the backward v-ray from shift
-                # j reads iv from q - j
-                p, q = len(u), len(v)
-                horizon = p + q + 2
-                uu = u * (horizon // p + 2)
-                vv = v * (horizon // q + 2)
-                iv = inverse(v) * (horizon // q + 2)
-                cyc = order.cyc
             m = _agreement(uu, s, vv, j, horizon)
             k = _agreement(uu, s, iv, q - j, horizon)
             if (cyc(uu[s + m], vv[j + m], -uu[s + m - 1])
@@ -482,19 +501,24 @@ def disjoint_pairs(surface, classes) -> tuple:
     """Index pairs (a, b), a < b, whose classes have geometric intersection 0.
 
     Each class is reduced to its primitive root once, and the tripod masks
-    of each root are computed once.  A pair is then decided by the two
-    steps of is_simple_word: one AND of the masks, which finds a linked
-    base configuration, and for the pairs it leaves, the shared-letter
-    configurations of their roots, which stop at the first linked one.
+    and the _scan_table of each root are built once, for the horizon of
+    the longest pair.  A pair is then decided by the two steps of
+    is_simple_word: one AND of the masks, which finds a linked base
+    configuration, and for the pairs it leaves, the shared-letter
+    configurations of their roots, read off their tables, which stop at
+    the first linked one.
     """
     order = surface.rose_order
     roots = [CurveClass.coerce(c, order.rank).root_and_power()[0].letters
              for c in classes]
+    horizon = 2 * max(map(len, roots), default=0) + 2
+    tables = [_scan_table(r, horizon) for r in roots]
     masks = [_tripod_masks(order, r) for r in roots]
     return tuple(
         (a, b)
         for a, (linked, _) in enumerate(masks)
         for b in range(a + 1, len(roots))
         if not linked & masks[b][1]
-        and not any(_shared_configurations(order, roots[a], roots[b]))
+        and not any(_shared_configurations(order, roots[a], roots[b],
+                                           (tables[a], tables[b])))
     )

@@ -50,13 +50,20 @@ two is evidence rather than tautology.
   filter that reduces a facet list to its maximal faces, as references
   for the clique enumerator and for homology on lists with nested faces.
 
+* Earlier implementations kept as references for their rewrites: the
+  facet cleanup that sorted and deduplicated every list, and the acyclic
+  walk that took the meet of R's stars by reduce and added binomials per
+  face.
+
 * Cut pieces in closed form: the genus and boundary count of each piece
   of the chain surface cut along cores and a laminar family of even
   interval frontiers, by subtracting nested neighbourhoods.
 """
 
+from functools import reduce
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
+from operator import and_
 
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as _sympy_snf
@@ -535,3 +542,43 @@ def collapse_by_full_passes(vertices, edges) -> tuple:
                     closed[v].discard(u)
                     removed = True
     return tuple((u, v) for u in order for v in sorted(closed[u]) if v > u)
+
+
+# ------------------------------------------------ earlier implementations
+
+
+def sorted_distinct_facets(facets) -> tuple:
+    """A facet list with each facet's vertices made distinct and sorted,
+    then the facets made distinct and sorted: what from_facets made of
+    every list, clean or not."""
+    return tuple(sorted({tuple(sorted(set(f))) for f in facets}))
+
+
+def acyclic_subcomplex_by_reduce(facets) -> tuple:
+    """The acyclic walk over the listed faces in their order, as first
+    written: R as a list of indices, its stars' meet by reduce, and the
+    binomials added for each face that joins.  Returns (inside, star,
+    sizes) as _acyclic_subcomplex does."""
+    star: dict = {}
+    inside = [False] * len(facets)
+    sizes = [0] * (max(map(len, facets)) + 1)
+    for i, f in enumerate(facets):
+        empty = -1 if i else 0
+        stars = [star.get(v, 0) for v in f]
+        before = [empty]
+        for s in stars:
+            before.append(before[-1] & s)
+        after, r = empty, []
+        for j in reversed(range(len(f))):
+            if before[j] & after:
+                r.append(j)
+            after &= stars[j]
+        if len(r) == len(f) or reduce(and_, (stars[j] for j in r), empty):
+            continue
+        inside[i] = True
+        for v in f:
+            star[v] = star.get(v, 0) | 1 << i
+        free = len(f) - len(r)
+        for k in range(free + 1):
+            sizes[len(r) + k] += comb(free, k)
+    return inside, star, sizes

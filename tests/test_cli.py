@@ -14,10 +14,12 @@ from diskcomplex import SimplicialComplex, cli, reduced_homology
 from diskcomplex.cli import (
     SCHEMA_BBM,
     SCHEMA_GAMMA,
+    canonical_json,
     load_document,
     make_document,
     payload_sha256,
     run,
+    write_document,
 )
 from diskcomplex.errors import SchemaError
 from test_complexes import HOLLOW_TRIANGLE, PROJECTIVE_PLANE
@@ -280,6 +282,36 @@ class TestPersistence:
         assert da["payload"] == db["payload"]
         assert da["manifest"]["payload_sha256"] == (
             db["manifest"]["payload_sha256"])
+
+    @pytest.mark.parametrize("argv", [
+        ["bbm", "build", "-g", "3"],
+        ["gamma", "sample", "-g", "2", "-L", "4"],
+        ["gamma", "sample", "-g", "3", "-L", "2",
+         "--include", "g1 g2 g4 -g1 g3 -g4 -g3 -g2"],
+    ], ids=["bbm", "gamma", "gamma-include"])
+    def test_written_document_is_its_canonical_json(self, capsys, tmp_path,
+                                                    argv):
+        # the payload text is made once and spliced into the file; the
+        # file is still canonical_json of the document, byte for byte, and
+        # the manifest hashes that payload text
+        path = tmp_path / "d.json"
+        assert cap(capsys, argv + ["--out", str(path)])[0] == 0
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == canonical_json(doc) + "\n"
+        assert doc["manifest"]["payload_sha256"] == payload_sha256(
+            doc["payload"])
+        assert load_document(path) == doc
+
+    def test_write_document_splices_the_payload_text(self, tmp_path):
+        payload = {"facets": [[0, 1], [1, 2]], "z": "\u00e9", "a": {"b": 1}}
+        text = canonical_json(payload)
+        doc = make_document(SCHEMA_GAMMA, payload, command="x \"y\"",
+                            payload_text=text)
+        assert doc == make_document(SCHEMA_GAMMA, payload, command="x \"y\"")
+        path = tmp_path / "d.json"
+        write_document(path, doc, text)
+        assert path.read_text() == canonical_json(doc) + "\n"
 
     def test_document_shape(self, capsys):
         code, out, _ = cap(capsys, ["bbm", "build", "-g", "2", "--json"])

@@ -27,10 +27,12 @@ from oracles import (
     face_counts,
     faces_of,
     maximal_cliques_brute,
+    acyclic_subcomplex_by_reduce,
     maximal_faces_quadratic,
     rational_rank,
     reduced_betti_and_torsion,
     snf_homology,
+    sorted_distinct_facets,
     sympy_invariants,
 )
 
@@ -130,6 +132,37 @@ class TestSimplicialComplex:
         with pytest.raises(DomainError, match="empty facet"):
             SimplicialComplex.from_facets([(0, 1), ()])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_from_facets_as_the_sorting_reference(self, seed):
+        # a clean list is kept as read, and every list, clean or messy,
+        # gives what sorting and deduplicating gives, or the same error
+        rng = random.Random(9100 + seed)
+        clean = [list(f) for f in sorted_distinct_facets(
+            rng.sample(range(-6, 14), rng.randint(1, 5))
+            for _ in range(rng.randint(1, 12)))]
+        f = rng.choice(clean)
+        versions = {
+            "clean": clean,
+            "shuffled": rng.sample(clean, len(clean)),
+            "unsorted vertices": [rng.sample(g, len(g)) for g in clean],
+            "repeated vertex": clean + [f + [f[0]]],
+            "duplicate face": clean + [list(f)],
+            "nested face": clean + [rng.sample(f, rng.randint(1, len(f)))],
+            "empty facet": clean + [[]],
+            "empty facet first": [[]] + clean,
+            "tuples": [tuple(g) for g in clean],
+        }
+        for name, facets in versions.items():
+            want = sorted_distinct_facets(facets)
+            if want[0]:
+                got = SimplicialComplex.from_facets(facets).facets
+                assert got == want, name
+            else:
+                with pytest.raises(DomainError, match="empty facet"):
+                    SimplicialComplex.from_facets(facets)
+        assert SimplicialComplex.from_facets(clean).facets == tuple(
+            map(tuple, clean))
+
     def test_f_vector_and_euler(self):
         cells = reduced_homology(SimplicialComplex.from_facets(OCTAHEDRON)).cells
         assert cells == (6, 12, 8)
@@ -162,6 +195,20 @@ class TestSimplicialComplex:
     def test_flag_complex_special_graphs(self, vertices, edges):
         assert (flag_from_graph(vertices, edges).facets
                 == maximal_cliques_brute(vertices, edges))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_flag_complex_on_sparse_negative_ids(self, seed):
+        # the cliques carry vertex ids, not indices: ids below zero and
+        # with gaps, listed out of order, a few of them isolated
+        rng = random.Random(2100 + seed)
+        vertices = rng.sample(range(-40, 40), rng.randint(1, 10))
+        isolated = rng.sample(vertices, rng.randint(0, len(vertices) // 3))
+        joined = [v for v in vertices if v not in isolated]
+        p = rng.random()
+        edges = [e for e in combinations(joined, 2) if rng.random() < p]
+        facets = flag_from_graph(vertices, edges).facets
+        assert facets == maximal_cliques_brute(vertices, edges)
+        assert {(v,) for v in isolated} <= set(facets)
 
     @pytest.mark.parametrize("vertices, edges", [
         ([], []),
@@ -438,6 +485,33 @@ class TestAcyclicSubcomplex:
         assert profile.leftover == (0,) * (2 * genus - 2) + (1,)
         if genus <= 4:  # criterion 12 checks the cells at g=5
             assert profile.cells == face_counts(c.facets)
+
+    @pytest.mark.parametrize("facets", [
+        [(0, 1, 2, 3), (0, 1, 4)], [(0, 1, 2), (2, 3)],
+        [(0, 1, 2), (2, 3, 4)], list(combinations(range(4), 3)),
+        [(0, 1, 2), (0, 3), (1, 2, 3)], [(0, 1), (0, 1, 2), (0, 1, 3)],
+        [(0, 1, 2), (0, 2), (0, 3), (2, 3)], [(0,), (1, 2), (2, 3)],
+        [(0, 1), (2,)], [(0,), (1,)], [(0,), (0, 1), (2,)], PROJECTIVE_PLANE,
+    ], ids=str)
+    def test_same_walk_as_the_reduce_loop(self, facets):
+        assert (complexes._acyclic_subcomplex(facets)
+                == acyclic_subcomplex_by_reduce(facets))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_walk_as_the_reduce_loop_on_random_lists(self, seed):
+        # sorted lists, and the same faces in a shuffled order, which
+        # grows another A
+        rng = random.Random(6500 + seed)
+        facets = list(random_complex(rng).facets)
+        for listed in (facets, rng.sample(facets, len(facets))):
+            assert (complexes._acyclic_subcomplex(listed)
+                    == acyclic_subcomplex_by_reduce(listed))
+
+    @pytest.mark.parametrize("genus", [2, 3, 4])
+    def test_same_walk_as_the_reduce_loop_on_spheres(self, genus):
+        facets = build_complex(chain_surface(genus)).complex.facets
+        assert (complexes._acyclic_subcomplex(facets)
+                == acyclic_subcomplex_by_reduce(facets))
 
     @pytest.mark.parametrize("seed", range(300))
     def test_random_complexes_match_references(self, seed):

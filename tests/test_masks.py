@@ -12,16 +12,28 @@ The table the masks read is checked against a reading of each
 configuration off a walk around the order.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diskcomplex import bbm_vertices, chain_surface, cyclic_reduce, sample_gamma
+import diskcomplex.words as words
+from diskcomplex import (
+    CurveClass,
+    bbm_vertices,
+    chain_surface,
+    cyclic_reduce,
+    disk_vertices,
+    geometric_intersection,
+    sample_gamma,
+)
 from diskcomplex.words import (
     _linked_configurations,
     _period,
     _shared_configurations,
     _tripod_masks,
+    disjoint_pairs,
     letter_key,
 )
 from oracles import crossings_by_rays
@@ -109,3 +121,68 @@ def test_drawn_primitive_words(pair):
     order = SURFACES[genus].rose_order
     for x, y in ((u, v), (v, u), (u, u), (v, v)):
         assert_decisions_agree(order, x, y)
+
+
+def random_classes(rng, genus):
+    """A class list with 1-letter classes and proper powers: random
+    cyclically reduced words of 1 to 7 letters, some raised to a power,
+    and the powers of a few of them."""
+    letters = [l for a in range(1, 2 * genus + 1) for l in (a, -a)]
+    found = set()
+    while len(found) < rng.randint(8, 24):
+        w = cyclic_reduce(rng.choices(letters, k=rng.randint(1, 7)))
+        if w:
+            found.add(CurveClass.from_letters(w * rng.choice((1, 1, 1, 2, 3))))
+    classes = sorted(found, key=CurveClass.shortlex)
+    for c in rng.sample(classes, 3):
+        classes.append(CurveClass.from_letters(c.letters * 2))
+    classes += [CurveClass.from_letters((l,)) for l in rng.sample(letters, 2)]
+    return list(dict.fromkeys(classes))
+
+
+class TestDisjointPairs:
+    """disjoint_pairs reads each root's scan table, built once, and gives
+    the pairs whose full intersection count is 0 and whose roots the ray
+    oracle finds no crossing of."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_class_lists(self, seed):
+        rng = random.Random(8800 + seed)
+        surface = SURFACES[rng.choice((2, 3))]
+        order = surface.rose_order
+        classes = random_classes(rng, surface.genus)
+        roots = [c.root_and_power()[0].letters for c in classes]
+        pairs = [(a, b) for a in range(len(classes))
+                 for b in range(a + 1, len(classes))]
+        by_count = {(a, b) for a, b in pairs if geometric_intersection(
+            surface, classes[a], classes[b]) == 0}
+        by_rays = {(a, b) for a, b in pairs
+                   if crossings_by_rays(order, roots[a], roots[b]) == 0}
+        edges = disjoint_pairs(surface, classes)
+        assert list(edges) == sorted(edges)
+        assert set(edges) == by_count == by_rays
+        assert 0 < len(edges) < len(pairs)
+        assert any(len(c) == 1 for c in classes)
+        assert any(c.root_and_power()[1] > 1 for c in classes)
+
+    @pytest.mark.parametrize("name, want", [
+        ("intervals-4", 385), ("3-5", 813), ("3-6", 2683), ("4-5", 5182),
+    ])
+    def test_edge_counts(self, monkeypatch, name, want):
+        kind, *args = name.split("-")
+        if kind == "intervals":
+            surface = SURFACES[int(args[0])]
+            classes = [v.curve for v in bbm_vertices(surface)[0]]
+        else:
+            surface = SURFACES[int(kind)]
+            classes = [c for c, _ in disk_vertices(surface, int(args[0]))]
+        built = []
+        table = words._scan_table
+
+        def spy(w, horizon):
+            built.append(w)
+            return table(w, horizon)
+        monkeypatch.setattr(words, "_scan_table", spy)
+        assert len(disjoint_pairs(surface, classes)) == want
+        # one table per root, none for a pair
+        assert sorted(built) == sorted(c.letters for c in classes)

@@ -4,6 +4,7 @@ import collections
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -195,9 +196,23 @@ class TestClassEnumeration:
             calls[letters] += 1
             return gate(surface, letters, masks)
         monkeypatch.setattr(handles, "_is_disk_word", spy)
-        found = disk_vertices(chain_surface(3), 5)
+        frames = []
+
+        def entering(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "extend"
+                    and frame.f_globals["__name__"] == handles.__name__):
+                frames.append(None)
+        sys.setprofile(entering)
+        try:
+            found = disk_vertices(chain_surface(3), 5)
+        finally:
+            sys.setprofile(None)
         assert sum(calls.values()) == len(calls) == 883
         assert len(found) == 105
+        # one frame per prefix placed: a last letter that leaves no
+        # necklace, or one whose word is not cyclically reduced, is not
+        # placed (3,826 frames when it was)
+        assert len(frames) == 3361
 
     @pytest.mark.parametrize("genus, budget, count, sha256", [
         (2, 8, 122,
@@ -260,13 +275,13 @@ class TestClassEnumeration:
         # g1, g1^2, ... are the first classes the search gates, one frame
         # deeper each, so a gate that stops at the first other word or at
         # g1^MAX_CLASS_LENGTH shows how deep the recursion gets.  The search
-        # places one letter per shift_id call, one between gates on the
-        # descent, so a search that stops gating stops within bound letters.
-        # (g1, g1^-1) is both (a, back) and (b, c) at every shift of g1^k,
-        # and the link table never marks a shift against itself, so the
-        # self-link prune never cuts the descent
+        # enters one frame of its recursion per letter it places, one
+        # between gates on the descent, so a search that stops gating stops
+        # within bound letters.  (g1, g1^-1) is both (a, back) and (b, c)
+        # at every shift of g1^k, and the link table never marks a shift
+        # against itself, so the self-link prune never cuts the descent
         bound = handles.MAX_CLASS_LENGTH
-        gate, place = handles._is_disk_word, handles.shift_id
+        gate = handles._is_disk_word
         order = chain2.rose_order
         i = words.shift_id(len(order.letters), 0, 1)
         assert not words.link_table(order)[i] >> i & 1
@@ -281,15 +296,20 @@ class TestClassEnumeration:
             ungated.clear()
             return gate(surface, letters, masks)
 
-        def counting(n, x, y):
-            ungated.append(x)
-            if len(ungated) > bound:
-                raise Reached(tuple(ungated))
-            return place(n, x, y)
+        def counting(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "extend"
+                    and frame.f_globals["__name__"] == handles.__name__):
+                ungated.append(None)
+                if len(ungated) > bound:
+                    raise Reached(len(ungated))
         monkeypatch.setattr(handles, "_is_disk_word", spy)
-        monkeypatch.setattr(handles, "shift_id", counting)
-        with pytest.raises(Reached) as reached:
-            disk_vertices(chain2, bound)
+        sys.setprofile(counting)
+        try:
+            with pytest.raises(Reached) as reached:
+                disk_vertices(chain2, bound)
+        finally:
+            sys.setprofile(None)
+        ungated.clear()
         assert reached.value.args[0] == (1,) * bound
         with pytest.raises(BudgetError, match=f"at most {bound} letters"):
             disk_vertices(chain2, bound + 1)
@@ -329,19 +349,28 @@ class TestOneDecisionPerClass:
     def test_a_class_object_only_for_each_vertex(self, monkeypatch, include):
         # the gate reads the search's canonical letters, so of the 2,047
         # classes that die on a side only the 105 disk vertices become
-        # CurveClass objects, each checked canonical once when built
+        # CurveClass objects, each canonicalised once: by the search, or by
+        # from_letters for an included class, and not again when built
         surface = chain_surface(3)
-        built = []
+        built, checked = [], []
         post_init = CurveClass.__post_init__
+        from_canonical = CurveClass.from_canonical.__func__
 
         def counting(self):
-            built.append(self.letters)
+            checked.append(self.letters)
             post_init(self)
+
+        def building(cls, letters):
+            built.append(letters)
+            return from_canonical(cls, letters)
         monkeypatch.setattr(CurveClass, "__post_init__", counting)
+        monkeypatch.setattr(CurveClass, "from_canonical",
+                            classmethod(building))
         s = sample_gamma(surface, 5, include=include)
         monkeypatch.undo()
         assert len(s.vertices) == 105 + len(include)
-        assert len(built) <= 105 + len(include)
+        assert sorted(built) == sorted(c.letters for c in s.vertices)
+        assert checked == []
 
 
 class TestEdgesAgainstTheFullCount:
@@ -386,9 +415,9 @@ class TestAlgebraicPrefilter:
         scanned = set()
         scan = words._shared_configurations
 
-        def spy(order, u, v):
+        def spy(order, u, v, tables=None):
             scanned.add((u, v))
-            return scan(order, u, v)
+            return scan(order, u, v, tables)
 
         def pairing(self):
             raise AssertionError("the edge test reads the homology pairing")

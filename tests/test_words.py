@@ -2,6 +2,7 @@
 
 import pytest
 
+import diskcomplex.words as words
 from diskcomplex import (
     CurveClass,
     CurveError,
@@ -63,6 +64,28 @@ class TestWords:
         b = CurveClass.from_string("g1 g2")
         assert a == b and len({a, b}) == 1
         assert a.letters == (1, 2)
+
+    def test_each_class_is_canonicalised_once(self, monkeypatch):
+        calls = []
+        canonical = words.canonical_unoriented
+
+        def spy(letters):
+            calls.append(letters)
+            return canonical(letters)
+        monkeypatch.setattr(words, "canonical_unoriented", spy)
+        for w in [(2, 1), (-1,), (1, 2, -1, -2), (3, 1, 3, 1), (-2, 1, 2, 1)]:
+            calls.clear()
+            c = CurveClass.from_letters(w)
+            assert calls == [w]
+            assert c.letters == canonical(w)
+        # a class built from letters is still checked, once
+        calls.clear()
+        assert CurveClass((1, 2)).letters == (1, 2) and calls == [(1, 2)]
+        for w in [(2, 1), (1, -1, 2), (-1,), ()]:
+            with pytest.raises((InternalInvariantError, TrivialWordError)):
+                CurveClass(w)
+        with pytest.raises(InternalInvariantError):
+            CurveClass((2, 1))
 
     def test_root_and_power(self):
         c = CurveClass.from_letters((1, 2, 1, 2, 1, 2))
