@@ -401,7 +401,7 @@ def _shared_configurations(order, u, v, tables=None):
     horizon = p + q + 2
     if tables is None:
         tu = _scan_table(u, horizon)
-        tables = tu, tu if u == v else _scan_table(v, horizon)
+        tables = tu, (tu if u == v else _scan_table(v, horizon))
     (_, uu, _), (opens, vv, iv) = tables
     cyc = order.cyc
     for s, a in enumerate(u):
