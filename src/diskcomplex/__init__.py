@@ -60,8 +60,9 @@ from .split import (
     NeighborhoodBoundary,
     SplitReport,
     bookkeeping_check,
-    complement_of_neighborhood,
+    curve_table,
     cut_along,
+    cut_walk,
     dims,
     parse_curve_token,
 )
@@ -121,9 +122,10 @@ __all__ = [
     "canonical_unoriented",
     "chain_surface",
     "collapse_dominated_edges",
-    "complement_of_neighborhood",
     "connectivity_probe",
+    "curve_table",
     "cut_along",
+    "cut_walk",
     "cyclic_reduce",
     "dies_on",
     "dims",

@@ -10,8 +10,9 @@ One result, rendered once.  Each command returns its result as ordered
 canonical JSON object of the keyed rows, otherwise as an aligned table
 of the labelled rows.  Unkeyed rows are table-only (the sphere verdict
 of homology), unlabelled rows JSON-only (is_sphere, sphere_dimension).
-bbm build returns its document as unlabelled rows, or with --out (which
-excludes --json) writes it and prints the path.
+bbm build with --json prints its document, and with --out (which
+excludes --json) writes it and prints the path; both render it as
+document_text, which splices in the payload text made once.
 
 Document format.  Every file this tool writes is a single JSON object
 
@@ -159,16 +160,19 @@ def load_document(path: Path) -> dict:
     return doc
 
 
-def write_document(path: Path, doc: dict, payload_text: str) -> None:
-    """Write canonical_json(doc) and a newline, for a doc of make_document
-    whose payload serialises to payload_text.  Sorted keys put the payload
-    between the manifest and the schema, so only those two are serialised
-    here."""
-    text = (f'{{"manifest":{canonical_json(doc["manifest"])},'
+def document_text(doc: dict, payload_text: str) -> str:
+    """canonical_json(doc), for a doc of make_document whose payload
+    serialises to payload_text.  Sorted keys put the payload between the
+    manifest and the schema, so only those two are serialised here."""
+    return (f'{{"manifest":{canonical_json(doc["manifest"])},'
             f'"payload":{payload_text},'
             f'"schema":{canonical_json(doc["schema"])}}}')
+
+
+def write_document(path: Path, doc: dict, payload_text: str) -> None:
+    """Write document_text(doc, payload_text) and a newline."""
     try:
-        Path(path).write_text(text + "\n")
+        Path(path).write_text(document_text(doc, payload_text) + "\n")
     except OSError as exc:
         raise DomainError(f"cannot write document {path}: {exc}") from exc
 
@@ -239,7 +243,8 @@ def cmd_bbm_build(args) -> list:
         payload_text=text,
     )
     if args.out is None:
-        return [(None, key, value) for key, value in doc.items()]
+        print(document_text(doc, text))
+        return []
     write_document(args.out, doc, text)
     print(f"wrote {args.out}")
     return []

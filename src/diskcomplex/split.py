@@ -1,38 +1,41 @@
-"""Cutting a chain surface along core circles and neighborhood frontiers.
+"""Cutting a chain surface along core circles and interval frontiers.
 
 One surgery on the ribbon model, exact on the level of rotation systems:
-complement_of_neighborhood removes the open regular neighborhood of a set
-of circles, and removing the neighborhood of a curve is cutting along
-it.  The neighborhood itself is the induced sub-ribbon graph.  For the
-complement we walk each frontier component of that subgraph; every time
-the walk passes a vertex of the ambient graph it may skip over darts that
-do not belong to the neighborhood, and those "gap" darts are exactly the
-edges leaving the neighborhood.  Each nonempty gap becomes a trivalent
-sector vertex on a new circle parallel to the frontier, carrying the gap
-dart plus a forward and backward dart along the circle.  The darts a
-surgery adds are numbered below every dart of the graph it cuts, so they
+cut_walk cuts along a circle parallel to one boundary walk w of an
+induced subgraph.  At step t the darts strictly between rev(w[t]) and
+w[t+1] in the rotation are the edges leaving the subgraph on that side
+of w.  Each nonempty gap leaves its vertex for a trivalent sector vertex
+on the new circle, carrying the gap plus a forward and a backward dart
+along the circle, and every other dart stays where it is.  The darts a
+cut adds are numbered below every dart of the graph it cuts, so they
 never take the number of a surface dart that a later cut looks for.
 
 cut_along applies it to a list of named curves (z{i} for core circles,
-x:{j}-{m} for neighborhood frontiers) and reports the components with
-their genus and boundary counts, checking the piece count and the
-bookkeeping of the report on the way.  A frontier cut keeps the
-neighborhood N_J as a piece; a core cut drops its annulus.  The scope is
-curves that are pairwise disjoint, as words.disjoint_pairs decides it for
-their classes, with frontiers of even intervals only.  Everything outside
-that scope raises UnsupportedCut rather than guessing.
+x:{j}-{m} for interval frontiers) and reports the components with their
+genus and boundary counts.  Each curve is the frontier walk whose class
+intervals.x_curve chooses for its interval, z_i being the interval
+[i, i], read from one table per surface (curve_table).  A cut moves only
+darts outside its interval, so the walks of every interval nested in it
+are untouched; the largest interval is cut first, and the components
+are read once, at the end.  Disjoint curves cut the surface into
+1 + n - r pieces, for n curves whose classes span rank r in
+H_1(S; Z/2), and the cut checks that count.  The scope is curves that
+are pairwise disjoint, as words.disjoint_pairs decides it for their
+classes; everything outside it raises UnsupportedCut rather than
+guessing.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .errors import DomainError, HypothesisError, InternalInvariantError, UnsupportedCut
-from .intervals import Interval, interval_walks
+from .intervals import Interval, bbm_vertices, interval_walks
 from .ribbon import ChainSurface, RibbonGraph
-from .words import disjoint_pairs
+from .words import abelianized, disjoint_pairs
 
 
 @dataclass(frozen=True)
@@ -68,76 +71,67 @@ def parse_curve_token(text: str):
     )
 
 
-def complement_of_neighborhood(graph: RibbonGraph, support_darts) -> RibbonGraph:
-    """Ribbon graph of the surface minus an open neighborhood of circles.
+def cut_walk(graph: RibbonGraph, walk) -> RibbonGraph:
+    """Ribbon graph of the surface cut along a circle parallel to walk.
 
-    support_darts must be closed under reversal and induce the
-    neighborhood subgraph.  Each frontier walk of that subgraph becomes a
-    circle of sector vertices in the complement, one per nonempty gap.
+    walk must be a boundary walk of an induced subgraph whose rotations
+    graph still carries.  The circle becomes one sector vertex per
+    nonempty gap; a walk with no gap has no edge leaving it on its side,
+    so nothing would carry the circle.
     """
-    support = frozenset(support_darts)
-    if not support:
-        raise UnsupportedCut("empty neighborhood support")
-    sub = graph.subgraph(support)
-    walks = sub.boundary_walks()
-
     fresh = min(0, *graph.darts) - 1
-    rot = []
-    rev_pairs = [(d, e) for d, e in graph.rev if d not in support]
+    sectors = []
+    for t, d in enumerate(walk):
+        back = graph.reverse_of(d)
+        ahead = walk[(t + 1) % len(walk)]
+        vertex = graph._vertex_of[back]
+        if graph._vertex_of[ahead] != vertex:
+            raise InternalInvariantError("walk disagrees with the rotation")
+        cycle = graph.rot[vertex]
+        k = cycle.index(back)
+        turn = cycle[k + 1:] + cycle[:k + 1]  # the darts after back
+        gap = turn[:turn.index(ahead)]
+        if gap:
+            sectors.append(gap)
+    if not sectors:
+        raise InternalInvariantError(
+            "walk with no outgoing edges; the cut has no graph to carry it"
+        )
+    moved = {d for gap in sectors for d in gap}
+    n = len(sectors)
+    rot = [cycle if moved.isdisjoint(cycle)
+           else tuple(d for d in cycle if d not in moved) for cycle in graph.rot]
+    rot += [(fresh - 2 * s, fresh - 2 * s - 1) + gap for s, gap in enumerate(sectors)]
+    rev = graph.rev + tuple(
+        (fresh - 2 * s, fresh - 2 * ((s + 1) % n) - 1) for s in range(n))
+    return RibbonGraph(rot=tuple(rot), rev=rev)
 
-    # vertices of the ambient graph carrying no support dart survive intact
-    support_vertices = set()
-    for d in support:
-        support_vertices.add(graph._vertex_of[d])
-    for idx, cycle in enumerate(graph.rot):
-        if idx not in support_vertices:
-            rot.append(tuple(cycle))
 
-    claimed = set()
-    for walk in walks:
-        sectors = []  # list of gap dart tuples, in walk order
-        for t, d in enumerate(walk):
-            back = graph.reverse_of(d)
-            vertex = graph.rot[graph._vertex_of[back]]
-            k = vertex.index(back)
-            gap = []
-            for step in range(1, len(vertex)):
-                cand = vertex[(k + step) % len(vertex)]
-                if cand in support:
-                    if cand != walk[(t + 1) % len(walk)]:
-                        raise InternalInvariantError(
-                            "frontier walk disagrees with ambient rotation"
-                        )
-                    break
-                gap.append(cand)
-            if gap:
-                sectors.append(tuple(gap))
-                claimed.update(gap)
-        if not sectors:
-            raise InternalInvariantError(
-                "frontier component with no outgoing edges; the complement "
-                "piece has no graph to carry it"
-            )
-        fwd = []
-        bwd = []
-        for _ in sectors:
-            fwd.append(fresh)
-            bwd.append(fresh - 1)
-            fresh -= 2
-        for s, gap in enumerate(sectors):
-            rot.append((fwd[s], bwd[s]) + gap)
-            rev_pairs.append((fwd[s], bwd[(s + 1) % len(sectors)]))
+@lru_cache(maxsize=4)
+def curve_table(surface: ChainSurface) -> dict:
+    """(j, m) -> (walk, class) of the frontier of N_[j,m] that x_curve
+    chooses, for every interval, read off bbm_vertices.  Keyed on the
+    surface object, which hashes by identity."""
+    table = {}
+    for v in bbm_vertices(surface)[0]:
+        walk = next(w for w in interval_walks(surface, v.interval)
+                    if surface.walk_class(w) == v.curve)
+        table[v.interval.j, v.interval.m] = walk, v.curve
+    return table
 
-    stranded = {
-        d
-        for d in graph.darts
-        if d not in support
-        and graph._vertex_of[d] in support_vertices
-        and d not in claimed
-    }
-    if stranded:
-        raise InternalInvariantError(f"darts {sorted(stranded)} fell in no gap")
-    return RibbonGraph(rot=tuple(rot), rev=tuple(rev_pairs))
+
+def _gf2_rank(vectors) -> int:
+    """Rank over Z/2 of integer vectors, read mod 2."""
+    pivots = {}
+    for vector in vectors:
+        bits = sum(1 << i for i, x in enumerate(vector) if x % 2)
+        while bits:
+            top = bits.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = bits
+                break
+            bits ^= pivots[top]
+    return len(pivots)
 
 
 @dataclass(frozen=True)
@@ -149,69 +143,57 @@ class SplitReport:
     curve_names: tuple
 
 
-def _validate_scope(surface: ChainSurface, specs) -> None:
+def _curve_rows(surface: ChainSurface, specs) -> list:
+    """(interval, walk, class) of each curve, z_i being the interval
+    (i, i), once the list is checked to name distinct, pairwise disjoint
+    curves."""
     n = surface.n_circles
-    if len(set(specs)) != len(specs):
+    keys = [(s.index, s.index) if isinstance(s, CoreCurve) else (s.j, s.m)
+            for s in specs]
+    if len(set(keys)) != len(keys):
         raise UnsupportedCut("repeated curve in cut list")
-    classes = []
     for s in specs:
         if isinstance(s, CoreCurve):
             if not 1 <= s.index <= n:
                 raise DomainError(f"core index {s.index} outside 1..{n}")
-            classes.append(surface.core_class(s.index))
-            continue
-        interval = Interval(s.j, s.m, n)  # range check
-        if interval.size % 2:
-            raise UnsupportedCut(
-                f"odd interval {interval}: its frontier has two components "
-                "and no canonical single cut"
-            )
-        classes.append(surface.walk_class(interval_walks(surface, interval)[0]))
-    disjoint = set(disjoint_pairs(surface, classes))
+        else:
+            Interval(s.j, s.m, n)  # range check
+    table = curve_table(surface)
+    rows = [(k, *table[k]) for k in keys]
+    disjoint = set(disjoint_pairs(surface, [c for _, _, c in rows]))
     for a, b in combinations(range(len(specs)), 2):
         if (a, b) not in disjoint:
             raise UnsupportedCut(f"{specs[a]} and {specs[b]} intersect")
+    return rows
 
 
 def cut_along(surface: ChainSurface, specs) -> SplitReport:
     """Cut along the named curves and report the resulting components.
 
-    The curves must be pairwise disjoint.  Every cut removes the
-    neighborhood of its circles from the piece that holds them: the
-    circles j..m for x:j-m, whose neighborhood N_J stays as a piece, and
-    circle i for z_i, whose annulus is dropped.  The largest support is
-    cut first, so a frontier is cut before the cores and the frontiers
-    nested in its interval, and those are cut in N_J.
+    The curves must be pairwise disjoint.  Each is cut along its one
+    frontier walk, in order of decreasing interval size (a core has size
+    1), so a frontier is cut before the cores and the frontiers nested in
+    its interval, and those are cut on its side.  Odd intervals cut as
+    even ones do, and so does every facet of the interval sphere.
     """
     specs = [parse_curve_token(s) if isinstance(s, str) else s for s in specs]
     if not specs:
         raise DomainError("nothing to cut along")
-    _validate_scope(surface, specs)
-
-    supports = [
-        surface.circle_darts(s.index) if isinstance(s, CoreCurve)
-        else surface.interval_darts(s.j, s.m)
-        for s in specs
-    ]
-    pieces = [surface.graph]
-    for s, support in sorted(zip(specs, supports), key=lambda p: -len(p[1])):
-        i = next((i for i, p in enumerate(pieces) if support <= p.darts), None)
-        if i is None:
-            raise InternalInvariantError("cut support spread over several pieces")
-        ambient = pieces[i]
-        kept = [] if isinstance(s, CoreCurve) else [ambient.subgraph(support)]
-        pieces[i:i + 1] = kept + [complement_of_neighborhood(ambient, support)]
-
-    parts = [c for p in pieces for c in p.components()]
+    rows = _curve_rows(surface, specs)
+    graph = surface.graph
+    for _, walk, _ in sorted(rows, key=lambda row: row[0][0] - row[0][1]):
+        graph = cut_walk(graph, walk)
+    parts = graph.components()
     pairs = sorted(((c.genus, c.n_boundaries) for c in parts), reverse=True)
 
     # Every piece but the one holding the boundary of the surface is
-    # bounded by cut curves alone.  Over Z/2 the cores are a basis of H_1,
-    # so only frontiers can bound, and an even frontier bounds its N_J.
-    n_frontiers = sum(isinstance(s, NeighborhoodBoundary) for s in specs)
-    if len(parts) != 1 + n_frontiers:
+    # bounded by cut curves alone, and the sets of curves that bound are
+    # the sums that vanish in H_1(S; Z/2).
+    rank = surface.rose_order.rank
+    r = _gf2_rank(abelianized(c.letters, rank) for _, _, c in rows)
+    if len(parts) != 1 + len(specs) - r:
         raise InternalInvariantError(
-            f"{len(parts)} pieces, not 1 + {n_frontiers} frontiers"
+            f"{len(parts)} pieces, not 1 + {len(specs)} curves - rank {r}"
         )
     report = SplitReport(
         ambient_genus=surface.genus,

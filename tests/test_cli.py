@@ -325,6 +325,21 @@ class TestPersistence:
         assert sorted(doc["payload"]) == [
             "edges", "facets", "genus", "odd_choices", "vertices"]
 
+    def test_printed_document_splices_the_written_payload_text(
+            self, capsys, tmp_path):
+        # --json and --out render one document text; only the manifest's
+        # timestamp and wall time may differ between the two runs
+        code, out, _ = cap(capsys, ["bbm", "build", "-g", "3", "--json"])
+        assert code == 0
+        assert out == canonical_json(json.loads(out)) + "\n"
+        path = tmp_path / "g3.json"
+        assert cap(capsys, ["bbm", "build", "-g", "3", "--out", str(path)])[0] == 0
+
+        def payload_text(text):
+            return text[text.index('"payload":'):text.rindex(',"schema":')]
+
+        assert payload_text(out) == payload_text(path.read_text())
+
     def test_gamma_document_homology(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         code, _, _ = cap(

@@ -8,18 +8,22 @@ from diskcomplex import (
     CoreCurve,
     DomainError,
     HypothesisError,
+    InternalInvariantError,
     IntervalError,
     NeighborhoodBoundary,
     RibbonGraph,
     SplitReport,
     UnsupportedCut,
     bookkeeping_check,
+    all_intervals,
     build_complex,
     chain_surface,
-    complement_of_neighborhood,
+    curve_table,
     cut_along,
+    cut_walk,
     dims,
     parse_curve_token,
+    x_curve,
 )
 from oracles import laminar_cut_pieces
 
@@ -47,33 +51,35 @@ class TestParseCurveToken:
             cut_along(chain_surface(2), ["x:2-1"])
 
 
-class TestComplementOfNeighborhood:
-    def torus_rose(self):
-        return RibbonGraph(rot=((1, 3, 2, 4),), rev=((1, 2), (3, 4)))
-
+class TestCutWalk:
     def test_torus_cut_to_pants(self):
-        cut = complement_of_neighborhood(self.torus_rose(), {1, 2})
+        # the loop 1-2 has two frontier walks, (1,) and (2,); cutting one
+        # leaves its annulus glued to the other side
+        rose = RibbonGraph(rot=((1, 3, 2, 4),), rev=((1, 2), (3, 4)))
+        cut = cut_walk(rose, (1,))
         assert [(c.genus, c.n_boundaries) for c in cut.components()] == [(0, 3)]
         assert cut.euler_characteristic == -1
 
     def test_chain_core_cut_preserves_euler(self):
         S = chain_surface(2)
-        cut = complement_of_neighborhood(S.graph, S.circle_darts(1))
+        cut = cut_walk(S.graph, curve_table(S)[1, 1][0])
         assert cut.euler_characteristic == S.graph.euler_characteristic
         assert (cut.genus, cut.n_boundaries) == (1, 3)
 
     def test_new_darts_below_the_graphs(self):
         S = chain_surface(2)
-        support = S.circle_darts(1)
-        cut = complement_of_neighborhood(S.graph, support)
-        assert cut.darts & S.graph.darts == S.graph.darts - support
+        table = curve_table(S)
+        cut = cut_walk(S.graph, table[1, 1][0])
+        assert cut.darts > S.graph.darts  # every dart stays
         assert max(cut.darts - S.graph.darts) < min(0, *S.graph.darts)
-        again = complement_of_neighborhood(cut, S.circle_darts(3))
+        again = cut_walk(cut, table[3, 3][0])
         assert max(again.darts - cut.darts) < min(cut.darts)
 
-    def test_empty_support_rejected(self):
-        with pytest.raises(UnsupportedCut, match="empty"):
-            complement_of_neighborhood(self.torus_rose(), ())
+    def test_walk_with_no_outgoing_edge_is_an_invariant_failure(self):
+        # the boundary walk of the whole surface has no edge beyond it
+        S = chain_surface(2)
+        with pytest.raises(InternalInvariantError, match="no outgoing"):
+            cut_walk(S.graph, S.boundary_walk)
 
 
 # every row checked against Euler additivity and the boundary count below
@@ -100,6 +106,14 @@ FROZEN_CUTS = [
     (3, ["x:1-2", "x:1-4"], ((1, 2), (1, 2), (1, 1))),
     (3, ["x:1-4", "x:2-3"], ((1, 2), (1, 2), (1, 1))),
     (3, ["z1", "x:3-6", "x:4-5"], ((1, 2), (1, 1), (0, 4))),
+    # odd intervals: one frontier walk, nonseparating, so one piece
+    (3, ["x:1-3"], ((2, 3),)),
+    (3, ["x:2-4"], ((2, 3),)),
+    (3, ["x:1-5"], ((2, 3),)),
+    (3, ["x:1-3", "z5"], ((1, 5),)),
+    # x:i-i is z_i
+    (2, ["x:1-1"], ((1, 3),)),
+    (2, ["x:3-3"], ((1, 3),)),
 ]
 
 
@@ -123,19 +137,14 @@ def closed_form_pieces(g, tokens):
 
 
 def interval_sphere_facets(g):
-    """Facets of the interval sphere whose vertices are all cores or even
-    frontiers, as cut lists: [i,i] is z_i and an even [j,m] is x:j-m."""
+    """Facets of the interval sphere as cut lists: [i,i] is z_i and any
+    other [j,m] is x:j-m."""
     build = build_complex(chain_surface(g))
     names = [
-        f"z{iv.j}" if iv.size == 1
-        else None if iv.size % 2 else f"x:{iv.j}-{iv.m}"
+        f"z{iv.j}" if iv.size == 1 else f"x:{iv.j}-{iv.m}"
         for iv in (v.interval for v in build.vertices)
     ]
-    return [
-        [names[v] for v in facet]
-        for facet in build.complex.facets
-        if all(names[v] for v in facet)
-    ]
+    return [[names[v] for v in facet] for facet in build.complex.facets]
 
 
 class TestCutAlong:
@@ -175,22 +184,18 @@ class TestCutAlong:
                 if components is not None:
                     assert components == closed_form_pieces(g, specs), specs
 
-    @pytest.mark.parametrize("g, n_facets", [(2, 4), (3, 8), (4, 16)])
+    @pytest.mark.parametrize("g, n_facets", [(2, 14), (3, 132), (4, 1430)])
     def test_facets_of_the_interval_sphere_cut_into_spheres(self, g, n_facets):
-        # a facet is a maximal system of disjoint curves, so each piece
-        # is a sphere with holes
+        # a facet is a maximal system of 2g - 1 disjoint curves, odd
+        # intervals included, so it cuts the surface into g spheres with
+        # holes
         S = chain_surface(g)
         facets = interval_sphere_facets(g)
         assert len(facets) == n_facets
         for specs in facets:
             components = cut_along(S, specs).components
-            n_frontiers = sum(t.startswith("x") for t in specs)
-            assert len(components) == 1 + n_frontiers, specs
+            assert len(components) == g, specs
             assert all(genus == 0 for genus, _ in components), specs
-
-    def test_odd_interval_rejected(self):
-        with pytest.raises(UnsupportedCut, match="odd interval"):
-            cut_along(chain_surface(2), ["x:1-3"])
 
     def test_crossing_cores_rejected(self):
         with pytest.raises(UnsupportedCut, match="intersect"):
@@ -210,6 +215,11 @@ class TestCutAlong:
         with pytest.raises(UnsupportedCut, match="repeated"):
             cut_along(chain_surface(2), ["z1", "z1"])
 
+    @pytest.mark.parametrize("specs", [["z1", "x:1-1"], ["x:1-1", "z1"]])
+    def test_core_and_its_interval_are_one_curve(self, specs):
+        with pytest.raises(UnsupportedCut, match="repeated"):
+            cut_along(chain_surface(2), specs)
+
     def test_empty_cut_list_rejected(self):
         with pytest.raises(DomainError, match="nothing"):
             cut_along(chain_surface(2), [])
@@ -217,6 +227,18 @@ class TestCutAlong:
     def test_core_index_out_of_range(self):
         with pytest.raises(DomainError, match="core index"):
             cut_along(chain_surface(2), ["z9"])
+
+
+class TestCurveTable:
+    @pytest.mark.parametrize("g", [2, 3, 4, 5, 6])
+    def test_each_interval_has_the_class_x_curve_chooses(self, g):
+        S = chain_surface(g)
+        table = curve_table(S)
+        assert sorted(table) == [(iv.j, iv.m) for iv in all_intervals(g)]
+        for iv in all_intervals(g):
+            walk, curve = table[iv.j, iv.m]
+            assert curve == x_curve(S, iv)[0], iv
+            assert S.walk_class(walk) == curve, iv
 
 
 class TestBookkeeping:
