@@ -26,8 +26,12 @@ once: the manifest hashes that text, and the file splices it between the
 manifest and the schema, byte for byte canonical_json(doc).  Readers
 reject unknown schema strings with SchemaError instead of guessing, and
 so are documents whose payload no longer matches manifest.payload_sha256
-(of the payload re-serialised, not of the text read) or lacks the fields
-`homology` reads.
+or lacks the fields `homology` reads.  The digest is checked against the
+text read when the file is laid out as a writer lays it out (the
+canonical manifest, the payload, the canonical schema, a newline), and
+against the payload re-serialised otherwise, say for a re-indented copy.
+So a file laid out that way whose digest is that of its own
+non-canonical payload text is accepted too; no writer here makes one.
 
 homology names the path it took.  A gamma document's payload lists the
 edges of the disjointness graph beside the facets; when the facets
@@ -54,6 +58,9 @@ import sys
 import time
 from dataclasses import replace
 from datetime import datetime, timezone
+from functools import cache
+from itertools import chain, starmap
+from operator import ne
 from pathlib import Path
 
 from . import __version__
@@ -78,6 +85,10 @@ from .words import (
 
 SCHEMA_BBM = "diskcx/bbm-complex/1"
 SCHEMA_GAMMA = "diskcx/gamma-sample/1"
+
+# document_text's layout: the three members in sorted order, no spaces
+_MANIFEST, _PAYLOAD, _SCHEMA = '{"manifest":', ',"payload":', ',"schema":'
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def canonical_json(obj) -> str:
@@ -109,10 +120,43 @@ def make_document(schema: str, payload: dict, command: str = "",
     }
 
 
-def load_document(path: Path) -> dict:
+def _spliced(text: str):
+    """(doc, payload text) of a document laid out as document_text writes
+    it, with a trailing newline; None for any other layout.  The payload
+    text is located by decoding the three members in place, so it is the
+    payload's own text, one JSON value, and the text is decoded once."""
+    if not (text.startswith(_MANIFEST) and text.endswith("}\n")):
+        return None
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest, i = _raw_decode(text, len(_MANIFEST))
+        if not text.startswith(_PAYLOAD, i):
+            return None
+        start = i + len(_PAYLOAD)
+        payload, end = _raw_decode(text, start)
+        if not text.startswith(_SCHEMA, end):
+            return None
+        schema, stop = _raw_decode(text, end + len(_SCHEMA))
+    except json.JSONDecodeError:
+        return None
+    if (stop != len(text) - 2
+            or text[len(_MANIFEST):i] != canonical_json(manifest)
+            or text[end + len(_SCHEMA):stop] != canonical_json(schema)):
+        return None
+    doc = {"manifest": manifest, "payload": payload, "schema": schema}
+    return doc, text[start:end]
+
+
+def load_document(path: Path) -> dict:
+    """The document at path, once its schema, payload digest and the
+    fields `homology` reads are checked; SchemaError otherwise."""
+    try:
+        text = Path(path).read_text()
+        spliced = _spliced(text)
+        if spliced is None:
+            doc, payload_text = json.loads(text), None
+        else:
+            doc, payload_text = spliced
+    except (OSError, ValueError, RecursionError) as exc:
         raise SchemaError(f"cannot read document {path}: {exc}") from exc
     if not isinstance(doc, dict) or "schema" not in doc or "payload" not in doc:
         raise SchemaError(f"{path} is not a diskcx document")
@@ -121,19 +165,20 @@ def load_document(path: Path) -> dict:
     payload = doc["payload"]
     if not isinstance(payload, dict):
         raise SchemaError(f"{path}: payload is not an object")
+    if payload_text is None:
+        payload_text = canonical_json(payload)
     manifest = doc.get("manifest")
-    if not isinstance(manifest, dict) or (
-        manifest.get("payload_sha256") != payload_sha256(payload)
+    if not isinstance(manifest, dict) or manifest.get("payload_sha256") != (
+        hashlib.sha256(payload_text.encode()).hexdigest()
     ):
         raise SchemaError(f"{path}: payload does not match manifest.payload_sha256")
     facets = payload.get("facets")
     if not (
         isinstance(facets, list)
         and facets
-        and all(
-            isinstance(f, list) and f and all(type(v) is int for v in f)
-            for f in facets
-        )
+        and set(map(type, facets)) == {list}
+        and all(facets)
+        and set(map(type, chain.from_iterable(facets))) == {int}
     ):
         raise SchemaError(
             f"{path}: payload.facets must be a non-empty list of non-empty "
@@ -147,11 +192,10 @@ def load_document(path: Path) -> dict:
         edges = payload["edges"]
         if not (
             isinstance(edges, list)
-            and all(
-                isinstance(e, list) and len(e) == 2
-                and all(type(v) is int for v in e) and e[0] != e[1]
-                for e in edges
-            )
+            and set(map(type, edges)) <= {list}
+            and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}
+            and all(starmap(ne, edges))
         ):
             raise SchemaError(
                 f"{path}: payload.edges must be a list of pairs of distinct "
@@ -164,9 +208,9 @@ def document_text(doc: dict, payload_text: str) -> str:
     """canonical_json(doc), for a doc of make_document whose payload
     serialises to payload_text.  Sorted keys put the payload between the
     manifest and the schema, so only those two are serialised here."""
-    return (f'{{"manifest":{canonical_json(doc["manifest"])},'
-            f'"payload":{payload_text},'
-            f'"schema":{canonical_json(doc["schema"])}}}')
+    return (f'{_MANIFEST}{canonical_json(doc["manifest"])}'
+            f'{_PAYLOAD}{payload_text}'
+            f'{_SCHEMA}{canonical_json(doc["schema"])}}}')
 
 
 def write_document(path: Path, doc: dict, payload_text: str) -> None:
@@ -212,9 +256,9 @@ def cmd_bbm_build(args) -> list:
             ("f-vector", None, reduced_homology(build.complex).cells),
             ("dimension", None, build.complex.dimension),
         ]
-    payload = {
-        "edges": [list(e) for e in build.edges],
-        "facets": [list(f) for f in build.complex.facets],
+    payload = {  # tuples serialise as arrays
+        "edges": build.edges,
+        "facets": build.complex.facets,
         "genus": args.genus,
         "odd_choices": [
             {
@@ -343,9 +387,9 @@ def cmd_gamma_sample(args) -> list:
     top = max_simplex_probe(sample)
     probe = connectivity_probe(sample)
     if args.out is not None:
-        payload = {
-            "edges": [list(e) for e in sample.edges],
-            "facets": [list(f) for f in sample.complex.facets],
+        payload = {  # tuples serialise as arrays
+            "edges": sample.edges,
+            "facets": sample.complex.facets,
             "genus": args.genus,
             "max_length": sample.max_length,
             "n_enumerated": sample.n_enumerated,
@@ -389,7 +433,10 @@ def cmd_dims(args) -> list:
 # ------------------------------------------------------------------ parser
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The diskcx parser, built on the first call and then shared: parsing
+    reads it and changes nothing in it."""
     p = argparse.ArgumentParser(
         prog="diskcx",
         description="interval curves, disk sides, and the sphere certificate "

@@ -265,6 +265,12 @@ def collapse_dominated_edges(vertices, edges) -> tuple:
     forest of every component.  Returns the kept edges as sorted pairs, in
     the order of the sorted vertices; the vertices themselves all stay.
 
+    Such a w is a common neighbour of u and v adjacent to all the other
+    common neighbours, so the dominating w are the common neighbours
+    other than u and v that lie in the closed neighbourhood of each of
+    them.  The test ANDs those neighbourhoods into that set and stops as
+    soon as it is empty; the edge is dominated when it never is.
+
     The edges are examined in passes, in the order of their lower and then
     higher end, until a pass removes none.  A removal shrinks only the
     neighbourhoods of its two ends, and a shrinking N[w] dominates fewer
@@ -289,18 +295,17 @@ def collapse_dominated_edges(vertices, edges) -> tuple:
                 v += u + 1
                 if stamp[u] <= last and stamp[v] <= last:
                     continue
-                common = closed[u] & closed[v]
-                rest = common ^ (1 << u) ^ (1 << v)
-                while rest:
+                meet = rest = (closed[u] & closed[v]) ^ (1 << u | 1 << v)
+                while rest and meet:
                     low = rest & -rest
                     rest ^= low
-                    if not common & ~closed[low.bit_length() - 1]:
-                        closed[u] ^= 1 << v
-                        closed[v] ^= 1 << u
-                        clock += 1
-                        stamp[u] = stamp[v] = clock
-                        removed = True
-                        break
+                    meet &= closed[low.bit_length() - 1]
+                if meet:
+                    closed[u] ^= 1 << v
+                    closed[v] ^= 1 << u
+                    clock += 1
+                    stamp[u] = stamp[v] = clock
+                    removed = True
     return tuple(
         (order[u], order[u + 1 + v])
         for u in range(len(order))

@@ -28,6 +28,7 @@ reading words off walks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import BudgetError, DomainError, HypothesisError, InternalInvariantError
 from .words import CurveClass, CyclicOrder, cyclic_reduce
@@ -262,13 +263,24 @@ class ChainSurface:
 
 
 def chain_surface(genus: int) -> ChainSurface:
-    """Build the standard chain surface of the given genus (>= 2)."""
+    """The standard chain surface of the given genus (>= 2).
+
+    The argument is checked on every call; the surface is then built once
+    per genus and process and shared (the last few genera are kept), so
+    every caller of one genus holds the same object, and caches keyed on
+    the surface object, like split.curve_table, hit across calls.
+    """
     if not isinstance(genus, int) or genus < 2:
         raise HypothesisError("the chain model needs integer genus >= 2")
     if (table := (4 * genus) ** 4 // 8) > MAX_LINK_TABLE_BYTES:
         raise BudgetError(
             f"genus {genus} needs a {table}-byte link table, above the "
             f"limit of {MAX_LINK_TABLE_BYTES} bytes")
+    return _chain_surface(genus)
+
+
+@lru_cache(maxsize=4)
+def _chain_surface(genus: int) -> ChainSurface:
     n = 2 * genus
     ids: dict = {}
 

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, tables, JSON documents."""
 
+import hashlib
 import json
 import os
 import random
@@ -15,6 +16,7 @@ from diskcomplex.cli import (
     SCHEMA_BBM,
     SCHEMA_GAMMA,
     canonical_json,
+    document_text,
     load_document,
     make_document,
     payload_sha256,
@@ -467,17 +469,26 @@ class TestPersistence:
             load_document(path)
 
     # Each defect but the first re-signs the payload, so that the shape
-    # check, not the hash check, has to catch it.
-    @pytest.mark.parametrize("defect, resign, message", [
-        ("facet_deleted", False, "payload_sha256"),
-        ("no_facets", True, "facets"),
-        ("mixed_ids", True, "facets"),
-        ("string_ids", True, "facets"),
-        ("no_genus", True, "genus"),
-        ("payload_list", True, "payload"),
+    # check, not the hash check, has to catch it.  Each is written twice:
+    # with json.dumps, whose digest is checked on the payload re-serialised
+    # (ids name the defect alone), and spliced as a writer lays a document
+    # out, whose digest is checked on the text read (ids start "splice").
+    @pytest.mark.parametrize("layout, defect, resign, message", [
+        pytest.param(layout, *row,
+                     id="-".join(map(str, row if layout == "dumps"
+                                     else ("splice", *row))))
+        for layout in ("dumps", "splice")
+        for row in (
+            ("facet_deleted", False, "payload_sha256"),
+            ("no_facets", True, "facets"),
+            ("mixed_ids", True, "facets"),
+            ("string_ids", True, "facets"),
+            ("no_genus", True, "genus"),
+            ("payload_list", True, "payload"),
+        )
     ])
-    def test_tampered_document_exits_two(self, capsys, tmp_path, defect,
-                                         resign, message):
+    def test_tampered_document_exits_two(self, capsys, tmp_path, layout,
+                                         defect, resign, message):
         path = tmp_path / "g2.json"
         cap(capsys, ["bbm", "build", "-g", "2", "--out", str(path)])
         doc = json.loads(path.read_text())
@@ -496,13 +507,114 @@ class TestPersistence:
             doc["payload"] = payload = payload["facets"]
         if resign:
             doc["manifest"]["payload_sha256"] = payload_sha256(payload)
-        path.write_text(json.dumps(doc))
+        if layout == "dumps":
+            path.write_text(json.dumps(doc))
+        else:
+            write_document(path, doc, canonical_json(payload))
+            assert path.read_text() == canonical_json(doc) + "\n"
         code, out, err = cap(capsys, ["homology", str(path)])
         assert code == 2
         assert out == ""
         assert message in err
         with pytest.raises(SchemaError):
             load_document(path)
+
+    @pytest.mark.parametrize("text", [bytes(range(128, 256)), b"[" * 10**5],
+                             ids=["not_utf8", "nested_too_deep"])
+    def test_unreadable_document_exits_two(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        code, out, err = cap(capsys, ["homology", str(path)])
+        assert (code, out) == (2, "")
+        assert f"cannot read document {path}" in err
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestDigestRule:
+    """A document laid out as a writer lays it out has its digest checked
+    on the payload text read; any other layout on the payload
+    re-serialised."""
+
+    @staticmethod
+    def written(capsys, tmp_path, argv):
+        path = tmp_path / "written.json"
+        assert cap(capsys, argv + ["--out", str(path)])[0] == 0
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def spliced(doc, payload_text, signed_text):
+        """The writer's layout of doc around payload_text, with the digest
+        of signed_text."""
+        manifest = {**doc["manifest"], "payload_sha256": digest(signed_text)}
+        return document_text({**doc, "manifest": manifest}, payload_text) + "\n"
+
+    def test_changed_facet_id_under_the_old_digest_exits_two(
+            self, capsys, tmp_path):
+        path, doc = self.written(capsys, tmp_path, ["bbm", "build", "-g", "3"])
+        doc["payload"]["facets"][0][0] += 1
+        write_document(path, doc, canonical_json(doc["payload"]))
+        assert path.read_text() == canonical_json(doc) + "\n"
+        code, out, err = cap(capsys, ["homology", str(path)])
+        assert (code, out) == (2, "")
+        assert "payload_sha256" in err
+
+    def test_spliced_payload_text_is_checked_as_read(self, capsys, tmp_path):
+        # the one document the text rule admits and re-serialising would
+        # not: the writer's layout around a non-canonical payload text,
+        # signed as read
+        path, doc = self.written(capsys, tmp_path, ["bbm", "build", "-g", "2"])
+        want = cap(capsys, ["homology", str(path), "--json"])
+        loose = json.dumps(doc["payload"], sort_keys=True)
+        assert loose != canonical_json(doc["payload"])
+        path.write_text(self.spliced(doc, loose, loose))
+        assert cap(capsys, ["homology", str(path), "--json"]) == want
+
+    @pytest.mark.parametrize("layout", [
+        "fourth_member", "text_after", "repeated_payload", "loose_manifest"])
+    def test_other_layouts_are_checked_re_serialised(self, capsys, tmp_path,
+                                                     layout):
+        path, doc = self.written(capsys, tmp_path, ["bbm", "build", "-g", "2"])
+        want = cap(capsys, ["homology", str(path), "--json"])
+        canonical = canonical_json(doc["payload"])
+        loose = json.dumps(doc["payload"], sort_keys=True)
+
+        def laid_out(signed_text):
+            if layout == "repeated_payload":
+                # json reads the last of two payload members
+                both = f'{loose},"payload":{loose}'
+                return self.spliced(doc, both, signed_text or both)
+            text = self.spliced(doc, loose, signed_text or loose)
+            if layout == "fourth_member":
+                return text[:-2] + ',"zzz":0}\n'
+            if layout == "loose_manifest":
+                manifest = json.loads(text)["manifest"]
+                return text.replace(canonical_json(manifest),
+                                    json.dumps(manifest, sort_keys=True), 1)
+            return text + "\n"
+
+        path.write_text(laid_out(None))
+        code, out, err = cap(capsys, ["homology", str(path), "--json"])
+        assert (code, out) == (2, "")
+        assert "payload_sha256" in err
+        path.write_text(laid_out(canonical))
+        assert cap(capsys, ["homology", str(path), "--json"]) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["bbm", "build", "-g", "4"],
+        ["gamma", "sample", "-g", "3", "-L", "5"],
+    ], ids=["bbm_g4", "gamma_3_5"])
+    def test_re_indented_copy_gives_the_same_homology(self, capsys, tmp_path,
+                                                      argv):
+        path, doc = self.written(capsys, tmp_path, argv)
+        copy = tmp_path / "indented.json"
+        with copy.open("w") as f:
+            json.dump(doc, f, indent=1)
+        want = cap(capsys, ["homology", str(path), "--json"])
+        assert want[0] == 0
+        assert cap(capsys, ["homology", str(copy), "--json"]) == want
 
 
 class TestCorePath:
@@ -678,6 +790,39 @@ class TestParser:
     def test_no_command_is_a_usage_error(self):
         with pytest.raises(SystemExit):
             run([])
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_runs_match_fresh_processes(self, capsys, tmp_path):
+        # the shared parser and surfaces leave nothing behind: a usage
+        # error (exit 2), a DomainError (exit 2) and successes, run twice
+        # in one process, print what each prints in a process of its own
+        calls = [
+            ["disk-check", "-g", "2", "g1", "--json"],
+            ["intersect", "-g", "2", "g1"],
+            ["bbm", "build", "-g", "2"],
+            ["dims", "-g", "1", "-b", "0"],
+            ["intersect", "-g", "2", "g1", "g2", "--json"],
+            ["bbm", "build", "-g", "2", "--out", str(tmp_path / "g2.json")],
+            ["homology", str(tmp_path / "g2.json"), "--json"],
+        ]
+        fresh = []
+        for argv in calls:
+            proc = subprocess.run(
+                [sys.executable, "-m", "diskcomplex", *argv],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+                capture_output=True, text=True, timeout=60,
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert [code for code, _, _ in fresh] == [0, 2, 0, 2, 0, 0, 0]
+        for _ in range(2):
+            for argv, want in zip(calls, fresh):
+                try:
+                    code = run(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                assert (code, *capsys.readouterr()) == want, argv
 
 
 class TestMain:

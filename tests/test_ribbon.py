@@ -77,7 +77,7 @@ class TestRibbonGraph:
 
 
 class TestChainSurface:
-    @pytest.mark.parametrize("genus", [200, 10**6])
+    @pytest.mark.parametrize("genus", [200, 10**6, 27])
     def test_genus_past_the_link_table_limit_raises_at_once(self, genus):
         # g = 200 would need a 51 GB link table in its CyclicOrder
         t0 = time.monotonic()
@@ -93,6 +93,18 @@ class TestChainSurface:
 
     def test_small_genus_rejected(self):
         for bad in (0, 1, -3, 2.0):
+            with pytest.raises(HypothesisError):
+                chain_surface(bad)
+
+    def test_one_surface_per_genus(self):
+        for g in (2, 3, 4, 5):
+            assert chain_surface(g) is chain_surface(g)
+            assert chain_surface(g).genus == g
+
+    def test_arguments_are_checked_before_the_cached_surface(self):
+        # 2.0 == 2 and hashes alike, so it must not reach the cache
+        assert chain_surface(2).genus == 2
+        for bad in (0, 1, -3, 2.0, True):
             with pytest.raises(HypothesisError):
                 chain_surface(bad)
 

@@ -240,6 +240,11 @@ class TestCurveTable:
             assert curve == x_curve(S, iv)[0], iv
             assert S.walk_class(walk) == curve, iv
 
+    def test_table_is_built_once_per_genus(self):
+        # chain_surface hands every caller of a genus one object, and the
+        # table is keyed on it
+        assert curve_table(chain_surface(3)) is curve_table(chain_surface(3))
+
 
 class TestBookkeeping:
     def fake(self, g, b, n, comps):
